@@ -1,6 +1,6 @@
 //! Instruction streams: the fetch entity predicted by the front-end.
 
-use prestage_isa::{Addr, Program, INST_BYTES};
+use prestage_isa::{Addr, BasicBlock, Program, INST_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Maximum instructions in one stream / fetch block.  Streams longer than
@@ -91,12 +91,19 @@ pub trait FetchBlockPredictor {
 /// length cap: the static fall-back prediction used on table misses.
 ///
 /// Returns `None` if `start` is not a mapped instruction.
+///
+/// The walk resolves a basic block once and indexes into it, searching the
+/// dictionary again only when the PC runs past the block's end.
 pub fn static_fallback_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
     use prestage_isa::OpClass;
     let mut pc = start;
     let mut len = 0u32;
+    let mut block: Option<&BasicBlock> = None;
     while len < MAX_STREAM_INSTS {
-        let inst = match prog.inst_at(pc) {
+        if block.is_none_or(|b| pc >= b.end()) {
+            block = prog.block_at(pc);
+        }
+        let inst = match block.and_then(|b| b.inst_at(pc)) {
             Some(i) => i,
             None => {
                 // Ran off the image mid-walk: close the stream here.
@@ -224,6 +231,76 @@ mod tests {
     fn fallback_unmapped_start_is_none() {
         let p = program();
         assert!(static_fallback_walk(0x9999_0000, &p).is_none());
+    }
+
+    /// The walk as first written: one dictionary search per instruction.
+    fn per_inst_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
+        use prestage_isa::OpClass;
+        let mut pc = start;
+        let mut len = 0u32;
+        while len < MAX_STREAM_INSTS {
+            let Some(inst) = prog.inst_at(pc) else {
+                return (len > 0).then_some(StreamDesc {
+                    start,
+                    len,
+                    next: pc,
+                    end: StreamEnd::SequentialBreak,
+                });
+            };
+            len += 1;
+            let end = match inst.op {
+                OpClass::Jump => StreamEnd::Taken,
+                OpClass::Call => StreamEnd::Call,
+                OpClass::Return => StreamEnd::Return,
+                _ => {
+                    pc += INST_BYTES;
+                    continue;
+                }
+            };
+            let next = if end == StreamEnd::Return { 0 } else { inst.target.unwrap() };
+            return Some(StreamDesc { start, len, next, end });
+        }
+        Some(StreamDesc {
+            start,
+            len,
+            next: pc,
+            end: StreamEnd::SequentialBreak,
+        })
+    }
+
+    #[test]
+    fn block_indexed_walk_matches_per_instruction_walk() {
+        // The test program plus a long fall-through chain that crosses
+        // several blocks, hits the length cap, and runs off the image.
+        let mut pb = ProgramBuilder::new();
+        for blk in program().blocks() {
+            pb.push(blk.clone());
+        }
+        for k in 0..14u64 {
+            let start = 0x8000 + k * 20;
+            let next = start + 20;
+            pb.push(if k % 2 == 0 {
+                straightline_block(start, 5, Terminator::FallThrough { next })
+            } else {
+                straightline_block(
+                    start,
+                    4,
+                    Terminator::CondBranch {
+                        taken: 0x1000,
+                        not_taken: next,
+                    },
+                )
+            });
+        }
+        pb.push(straightline_block(0x8000 + 14 * 20, 3, Terminator::Return));
+        let p = pb.finish().unwrap();
+        for pc in (0x0ff0..0x3020).chain(0x7ff0..0x8140) {
+            assert_eq!(
+                static_fallback_walk(pc, &p),
+                per_inst_walk(pc, &p),
+                "walk from {pc:#x}"
+            );
+        }
     }
 
     #[test]

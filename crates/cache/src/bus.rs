@@ -330,6 +330,25 @@ impl L2System {
         }
     }
 
+    /// Earliest cycle `>= now` at which [`tick_into`](Self::tick_into)
+    /// does any work: the first queued request becoming eligible for a
+    /// grant, or the first in-flight request completing.  `u64::MAX` when
+    /// the system is empty.  Queue waiting needs no per-cycle credit:
+    /// `wait_cycles` is charged at grant time.
+    pub fn next_event(&self, now: u64) -> u64 {
+        let mut at = self
+            .inflight
+            .peek()
+            .map_or(u64::MAX, |Reverse(Inflight(c))| c.ready_at);
+        for Reverse(p) in &self.queue {
+            if p.want <= now {
+                return now;
+            }
+            at = at.min(p.want);
+        }
+        at.max(now)
+    }
+
     /// Warm the L2 directory with a line (used to pre-load instruction
     /// footprints before timed simulation).
     pub fn warm_fill(&mut self, addr: Addr) {
@@ -494,6 +513,33 @@ mod tests {
     fn config_for_node_uses_table3() {
         assert_eq!(L2Config::for_node(TechNode::T090).l2_latency, 17);
         assert_eq!(L2Config::for_node(TechNode::T045).l2_latency, 24);
+    }
+
+    #[test]
+    fn next_event_sees_future_wants_and_inflight_misses() {
+        let mut s = sys();
+        assert_eq!(s.next_event(3), u64::MAX, "an empty system never wakes");
+        // A request submitted for a future cycle is the next event; before
+        // it, ticks grant nothing.
+        let a = s.submit(0x4000, ReqClass::IFetch, 10);
+        assert_eq!(s.next_event(3), 10);
+        let mut out = Vec::new();
+        for now in 3..10 {
+            s.tick_into(now, &mut out);
+            assert!(out.is_empty());
+        }
+        assert_eq!(s.stats().grants(), 0);
+        assert_eq!(s.next_event(10), 10);
+        // Granted at 10 and missing in the L2: next event is its data.
+        s.tick_into(10, &mut out);
+        assert_eq!(s.stats().grants(), 1);
+        assert_eq!(s.next_event(11), 10 + 217);
+        let c = run_until(&mut s, a, 11, 300);
+        assert_eq!(c.ready_at, 10 + 217);
+        assert_eq!(s.next_event(c.ready_at + 1), u64::MAX);
+        // A queued request already eligible is due now.
+        s.submit(0x8000, ReqClass::Prefetch, 400);
+        assert_eq!(s.next_event(405), 405);
     }
 
     #[test]

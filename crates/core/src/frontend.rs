@@ -13,6 +13,9 @@
 //! 3. routes L2 completions back via [`FrontEnd::on_completion`];
 //! 4. calls [`FrontEnd::flush`] on a branch misprediction redirect.
 //!
+//! An event-driven embedder may instead jump over the cycles before
+//! [`FrontEnd::next_event`], crediting them with [`FrontEnd::skip_idle`].
+//!
 //! ## Fetch path
 //!
 //! The fetch unit works on one queue line at a time (up to
@@ -36,7 +39,9 @@
 
 use crate::buffer::{PbKind, PbLookup, PreBuffer};
 use crate::config::{FrontendConfig, PrefetcherKind};
-use crate::prefetch::{InstrPrefetcher, PrefetchCheckpoint, PrefetchView};
+use crate::prefetch::{
+    InstrPrefetcher, PrefetchCheckpoint, PrefetchPeek, PrefetchView, TickOutlook,
+};
 use crate::queue::{FetchQueue, LineSlot, QueueKind};
 use crate::stats::FrontStats;
 use prestage_cache::{
@@ -427,6 +432,109 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
             stats,
         };
         pf.tick(now, &mut view, l2);
+    }
+
+    /// Earliest cycle `>= now` at which [`tick`](Self::tick) with the
+    /// same `downstream_free` does any work, assuming no L2 completion
+    /// arrives first: an L1 copy lands, a line waiting on the pre-buffer
+    /// can resolve, the head fetch's data is ready for delivery, the fetch
+    /// unit can start the queue head (after a blocking L1 port frees up),
+    /// or the prefetch mechanism has work.  `u64::MAX` when only another
+    /// component can unstick it.
+    pub fn next_event(&self, now: u64, downstream_free: u32) -> u64 {
+        let mut at = self
+            .l1_copies
+            .iter()
+            .map(|&(ready, _)| ready)
+            .min()
+            .unwrap_or(u64::MAX);
+        if let Some(pb) = &self.pb {
+            let resolvable = self.inflight.iter().any(|lf| {
+                lf.state == LfState::WaitPb && pb.lookup(lf.slot.line) != PbLookup::Pending
+            });
+            if resolvable {
+                return now;
+            }
+        }
+        if self.cfg.fetch_width.min(downstream_free) > 0 {
+            if let Some(LineFetch { state: LfState::Ready(ready), .. }) = self.inflight.front() {
+                at = at.min(*ready);
+            }
+        }
+        if self.inflight.len() < self.cfg.max_inflight
+            && self.inflight.iter().all(|lf| matches!(lf.state, LfState::Ready(_)))
+        {
+            if let Some(slot) = self.queue.head_line() {
+                // Only an L1-resident line behind a busy blocking port
+                // waits; every other head starts an access right away.
+                let pb_miss = self
+                    .pb
+                    .as_ref()
+                    .is_none_or(|pb| pb.lookup(slot.line) == PbLookup::Miss);
+                if !(pb_miss && !self.cfg.l1_pipelined && self.l1.contains(slot.line)) {
+                    return now;
+                }
+                at = at.min(self.l1_port.next_start(now));
+            }
+        }
+        if self.prefetch_outlook() == TickOutlook::Work {
+            return now;
+        }
+        at.max(now)
+    }
+
+    /// Credit `cycles` ticks that [`next_event`](Self::next_event) showed
+    /// to be idle.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        self.stats = self.stats_after_idle(cycles);
+    }
+
+    /// The statistics `cycles` idle ticks leave behind.  The only
+    /// per-cycle counter is `pb_alloc_stalls`, which each of them bumps
+    /// while the mechanism is allocation-stalled.
+    pub fn stats_after_idle(&self, cycles: u64) -> FrontStats {
+        let stalled = self.prefetch_outlook() == TickOutlook::AllocStall;
+        FrontStats {
+            pb_alloc_stalls: self.stats.pb_alloc_stalls + if stalled { cycles } else { 0 },
+            ..self.stats
+        }
+    }
+
+    fn prefetch_outlook(&self) -> TickOutlook {
+        self.pf.outlook(&PrefetchPeek {
+            queue: &self.queue,
+            pb: self.pb.as_ref(),
+            l1: &self.l1,
+            l0: self.l0.as_ref().map(|(l0, _)| l0),
+        })
+    }
+
+    /// Everything a tick can change except the per-cycle stall counter —
+    /// the stepping oracle's evidence that a cycle made progress.  Cache,
+    /// pre-buffer and mechanism-table contents are left out: they change
+    /// only alongside something listed here.
+    #[cfg(debug_assertions)]
+    pub fn progress_mark(&self) -> impl PartialEq + std::fmt::Debug {
+        let stats = FrontStats {
+            pb_alloc_stalls: 0,
+            ..self.stats
+        };
+        let inflight: Vec<_> = self
+            .inflight
+            .iter()
+            .map(|lf| (lf.state, lf.delivered))
+            .collect();
+        let queued = (
+            self.queue.len_lines(),
+            self.queue.iter_lines().filter(|s| s.prefetched).count(),
+        );
+        (
+            stats,
+            inflight,
+            queued,
+            self.l1_copies.len(),
+            self.routes.len(),
+        )
     }
 
     // -- fetch path -------------------------------------------------------

@@ -42,7 +42,8 @@ pub use prestage_cache::{ITlbConfig, InsertionPolicy, TlbCheckpoint, TlbStats};
 pub use frontend::{Delivery, FetchSource, FrontEnd};
 pub use prefetch::{
     prefetcher_state_bytes, ClgpPrefetcher, FdpPrefetcher, InstrPrefetcher, ManaPrefetcher,
-    NextLinePrefetcher, NoPrefetcher, PrefetchCheckpoint, PrefetchView, ProgMapPrefetcher,
+    NextLinePrefetcher, NoPrefetcher, PrefetchCheckpoint, PrefetchPeek, PrefetchView,
+    ProgMapPrefetcher, TickOutlook,
 };
 pub use queue::{FetchQueue, LineSlot, QueueKind};
 pub use stats::{FrontStats, SourceCount};

@@ -12,6 +12,10 @@
 //!   [`InstrPrefetcher::tick`], using the [`PrefetchView`] the front-end
 //!   lends it (queue scan, pre-buffer allocation, L1 probe/copy ports, L2
 //!   requests);
+//! * it **forecasts its next tick** without side effects
+//!   ([`InstrPrefetcher::outlook`]), so the cycle engine can jump over
+//!   cycles in which the tick would do nothing (or only count a pre-buffer
+//!   allocation stall);
 //! * its speculative training state is **checkpointed/restored** around
 //!   wrong-path excursions ([`InstrPrefetcher::checkpoint`] /
 //!   [`InstrPrefetcher::restore`]) and its counters reset at the warm-up
@@ -127,6 +131,28 @@ impl PrefetchView<'_> {
     }
 }
 
+/// Read-only counterpart of [`PrefetchView`], lent to
+/// [`InstrPrefetcher::outlook`].
+pub struct PrefetchPeek<'a> {
+    pub queue: &'a FetchQueue,
+    pub pb: Option<&'a PreBuffer>,
+    pub l1: &'a SetAssocCache,
+    pub l0: Option<&'a SetAssocCache>,
+}
+
+/// What a mechanism's next [`InstrPrefetcher::tick`] would do, judged
+/// without side effects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TickOutlook {
+    /// The tick changes state: it scans, enqueues, drops or issues.
+    Work,
+    /// The tick is a no-op until some other component acts.
+    Idle,
+    /// The tick only counts a pre-buffer allocation stall
+    /// (`pb_alloc_stalls`), until some other component frees an entry.
+    AllocStall,
+}
+
 /// A pluggable instruction-prefetch mechanism driving the shared
 /// pre-buffer.  One instance lives inside each
 /// [`FrontEnd`](crate::FrontEnd); the front-end calls the hooks, the
@@ -145,6 +171,12 @@ pub trait InstrPrefetcher: std::fmt::Debug {
     /// One cycle of prefetch work: scan whatever the mechanism scans and
     /// emit at most a port-limited number of requests through `fe`.
     fn tick(&mut self, now: u64, fe: &mut PrefetchView<'_>, l2: &mut L2System);
+
+    /// What [`tick`](Self::tick) would do if called now on the same state,
+    /// without doing it.  Must be exact for `Idle` and `AllocStall`: the
+    /// engine skips such ticks and credits `pb_alloc_stalls` in bulk.
+    /// `Work` is always safe; it only forgoes skipping.
+    fn outlook(&self, fe: &PrefetchPeek<'_>) -> TickOutlook;
 
     /// The fetch unit accepted `slot` from the decoupling queue — the
     /// in-order (speculative, wrong-path-included) fetch stream every
@@ -220,6 +252,10 @@ impl InstrPrefetcher for NoPrefetcher {
 
     fn tick(&mut self, _now: u64, _fe: &mut PrefetchView<'_>, _l2: &mut L2System) {}
 
+    fn outlook(&self, _fe: &PrefetchPeek<'_>) -> TickOutlook {
+        TickOutlook::Idle
+    }
+
     fn migrate_used_lines(&self) -> bool {
         // Nothing ever enters the pre-buffer, so nothing migrates out.
         false
@@ -287,6 +323,28 @@ fn issue_queue_head(
         fe.request_from_l2(line, now, l2);
     }
     reqq.pop_front();
+}
+
+/// [`issue_queue_head`]'s outlook, checked in the same order.
+fn queue_head_outlook(reqq: &VecDeque<Addr>, fe: &PrefetchPeek<'_>) -> TickOutlook {
+    let (Some(&line), Some(pb)) = (reqq.front(), fe.pb) else {
+        return TickOutlook::Idle;
+    };
+    if pb.lookup(line) != PbLookup::Miss || fe.l0.is_some_and(|l0| l0.contains(line)) {
+        TickOutlook::Work
+    } else {
+        alloc_outlook(pb)
+    }
+}
+
+/// A tick that reached the allocation check: a stall if nothing can be
+/// allocated, otherwise an issue.
+fn alloc_outlook(pb: &PreBuffer) -> TickOutlook {
+    if pb.can_allocate() {
+        TickOutlook::Work
+    } else {
+        TickOutlook::AllocStall
+    }
 }
 
 /// Push `line` into a capped, duplicate-free request queue.
@@ -386,6 +444,20 @@ impl InstrPrefetcher for FdpPrefetcher {
         self.piq.pop_front();
     }
 
+    fn outlook(&self, fe: &PrefetchPeek<'_>) -> TickOutlook {
+        let Some(pb) = fe.pb else {
+            return TickOutlook::Idle;
+        };
+        if self.piq.len() < self.piq_entries && fe.queue.peek_unprefetched().is_some() {
+            return TickOutlook::Work;
+        }
+        match self.piq.front() {
+            None => TickOutlook::Idle,
+            Some(&line) if pb.lookup(line) != PbLookup::Miss => TickOutlook::Work,
+            Some(_) => alloc_outlook(pb),
+        }
+    }
+
     fn on_redirect(&mut self) {
         self.piq.clear();
     }
@@ -455,6 +527,17 @@ impl InstrPrefetcher for NextLinePrefetcher {
         }
         fe.request_from_l2(line, now, l2);
         self.piq.pop_front();
+    }
+
+    fn outlook(&self, fe: &PrefetchPeek<'_>) -> TickOutlook {
+        let (Some(&line), Some(pb)) = (self.piq.front(), fe.pb) else {
+            return TickOutlook::Idle;
+        };
+        if pb.lookup(line) != PbLookup::Miss || fe.l1.contains(line) {
+            TickOutlook::Work
+        } else {
+            alloc_outlook(pb)
+        }
     }
 
     fn on_redirect(&mut self) {
@@ -550,6 +633,21 @@ impl InstrPrefetcher for ClgpPrefetcher {
                 fe.request_from_l2(line, now, l2);
             }
             return; // one real prefetch per cycle
+        }
+    }
+
+    fn outlook(&self, fe: &PrefetchPeek<'_>) -> TickOutlook {
+        // The first scanned slot decides: any outcome but a stall or an
+        // empty scan changes state.
+        let (Some(pb), Some(slot)) = (fe.pb, fe.queue.peek_unprefetched()) else {
+            return TickOutlook::Idle;
+        };
+        if pb.lookup(slot.line) != PbLookup::Miss
+            || fe.l0.is_some_and(|l0| l0.contains(slot.line))
+        {
+            TickOutlook::Work
+        } else {
+            alloc_outlook(pb)
         }
     }
 }
@@ -772,6 +870,10 @@ impl InstrPrefetcher for ManaPrefetcher {
         issue_queue_head(&mut self.reqq, now, fe, l2);
     }
 
+    fn outlook(&self, fe: &PrefetchPeek<'_>) -> TickOutlook {
+        queue_head_outlook(&self.reqq, fe)
+    }
+
     fn on_redirect(&mut self) {
         self.reqq.clear();
         self.cur = None;
@@ -916,6 +1018,10 @@ impl InstrPrefetcher for ProgMapPrefetcher {
         issue_queue_head(&mut self.reqq, now, fe, l2);
     }
 
+    fn outlook(&self, fe: &PrefetchPeek<'_>) -> TickOutlook {
+        queue_head_outlook(&self.reqq, fe)
+    }
+
     fn on_redirect(&mut self) {
         self.reqq.clear();
         self.last_region = None;
@@ -959,6 +1065,192 @@ mod tests {
         cfg.prefetcher = PrefetcherKind::Mana;
         cfg.pb_entries = 4;
         cfg
+    }
+
+    /// The front-end state a mechanism's tick touches, owned by the test.
+    struct Rig {
+        cfg: FrontendConfig,
+        queue: FetchQueue,
+        pb: PreBuffer,
+        l1: SetAssocCache,
+        copy_port: ArrayPort,
+        copies: Vec<(u64, ReqId)>,
+        routes: RouteTable,
+        synth: u64,
+        stats: FrontStats,
+        l2: L2System,
+    }
+
+    impl Rig {
+        fn new(kind: PrefetcherKind) -> Rig {
+            let mut cfg = FrontendConfig::base(prestage_cacti::TechNode::T045, 4 << 10);
+            cfg.prefetcher = kind;
+            cfg.pb_entries = 4;
+            let pb_kind = if kind == PrefetcherKind::Clgp {
+                crate::buffer::PbKind::Clgp
+            } else {
+                crate::buffer::PbKind::Fdp
+            };
+            Rig {
+                queue: FetchQueue::new(crate::queue::QueueKind::Cltq, 64, 8),
+                pb: PreBuffer::new(pb_kind, cfg.pb_entries),
+                l1: SetAssocCache::new(cfg.l1_capacity, 64, cfg.l1_assoc),
+                copy_port: ArrayPort::new(cfg.l1_latency(), cfg.l1_pipelined),
+                copies: Vec::new(),
+                routes: RouteTable::default(),
+                synth: 1 << 63,
+                stats: FrontStats::default(),
+                l2: L2System::new(prestage_cache::L2Config::for_node(cfg.tech)),
+                cfg,
+            }
+        }
+
+        /// Pin every pre-buffer entry with an in-flight prefetch.
+        fn fill_pb(&mut self) {
+            for k in 0..self.pb.capacity() as u64 {
+                assert!(self.pb.allocate(0x90_0000 + k * 64, ReqId(1_000 + k)));
+            }
+        }
+
+        fn outlook(&self, pf: &impl InstrPrefetcher) -> TickOutlook {
+            pf.outlook(&PrefetchPeek {
+                queue: &self.queue,
+                pb: Some(&self.pb),
+                l1: &self.l1,
+                l0: None,
+            })
+        }
+
+        fn tick(&mut self, pf: &mut impl InstrPrefetcher, now: u64) {
+            let mut view = PrefetchView {
+                cfg: &self.cfg,
+                queue: &mut self.queue,
+                pb: Some(&mut self.pb),
+                l1: &mut self.l1,
+                l0: None,
+                l1_copy_port: &mut self.copy_port,
+                l1_copies: &mut self.copies,
+                routes: &mut self.routes,
+                next_synth: &mut self.synth,
+                tlb: None,
+                stats: &mut self.stats,
+            };
+            pf.tick(now, &mut view, &mut self.l2);
+        }
+
+        /// The hook forecasts a stall, and the tick does nothing but
+        /// count one — on every cycle until another component acts.
+        fn assert_stalls(&mut self, pf: &mut impl InstrPrefetcher) {
+            let lines: Vec<LineSlot> = self.queue.iter_lines().copied().collect();
+            for now in 10..13 {
+                assert_eq!(self.outlook(pf), TickOutlook::AllocStall);
+                let before = self.stats;
+                self.tick(pf, now);
+                assert_eq!(
+                    self.stats,
+                    FrontStats {
+                        pb_alloc_stalls: before.pb_alloc_stalls + 1,
+                        ..before
+                    }
+                );
+                assert_eq!(self.queue.iter_lines().copied().collect::<Vec<_>>(), lines);
+                assert_eq!(self.l2.outstanding(), 0);
+            }
+        }
+
+        /// The hook forecasts work, and the tick issues a prefetch.
+        fn assert_issues(&mut self, pf: &mut impl InstrPrefetcher) {
+            assert_eq!(self.outlook(pf), TickOutlook::Work);
+            let issued = self.stats.prefetches_issued;
+            self.tick(pf, 20);
+            assert_eq!(self.stats.prefetches_issued, issued + 1);
+        }
+    }
+
+    #[test]
+    fn no_prefetcher_is_always_idle() {
+        let mut rig = Rig::new(PrefetcherKind::None);
+        rig.queue.push_block(0, 0x4000, 16);
+        assert_eq!(rig.outlook(&NoPrefetcher), TickOutlook::Idle);
+    }
+
+    #[test]
+    fn fdp_outlook_tracks_scan_stall_and_issue() {
+        let mut rig = Rig::new(PrefetcherKind::Fdp);
+        let mut pf = FdpPrefetcher::new(&rig.cfg);
+        assert_eq!(rig.outlook(&pf), TickOutlook::Idle, "nothing queued");
+        rig.fill_pb();
+        rig.queue.push_block(0, 0x4000, 16);
+        assert_eq!(rig.outlook(&pf), TickOutlook::Work, "a slot to scan");
+        rig.tick(&mut pf, 9);
+        assert_eq!(pf.piq.len(), 1);
+        rig.assert_stalls(&mut pf);
+        rig.pb.complete(ReqId(1_000));
+        rig.assert_issues(&mut pf);
+        assert_eq!(rig.outlook(&pf), TickOutlook::Idle);
+    }
+
+    #[test]
+    fn next_line_outlook_tracks_filter_stall_and_issue() {
+        let mut rig = Rig::new(PrefetcherKind::NextLine);
+        let mut pf = NextLinePrefetcher::new(&rig.cfg);
+        assert_eq!(rig.outlook(&pf), TickOutlook::Idle);
+        rig.fill_pb();
+        pf.observe_fetch(&slot(0x4000));
+        rig.assert_stalls(&mut pf);
+        // An L1-resident head is filtered: work, even with a full buffer.
+        rig.l1.fill(0x4040);
+        assert_eq!(rig.outlook(&pf), TickOutlook::Work);
+        rig.tick(&mut pf, 15);
+        assert_eq!(rig.stats.filtered, 1);
+        pf.observe_fetch(&slot(0x8000));
+        rig.pb.complete(ReqId(1_000));
+        rig.assert_issues(&mut pf);
+    }
+
+    #[test]
+    fn clgp_outlook_tracks_bump_stall_and_issue() {
+        let mut rig = Rig::new(PrefetcherKind::Clgp);
+        let mut pf = ClgpPrefetcher::new(&rig.cfg);
+        assert_eq!(rig.outlook(&pf), TickOutlook::Idle);
+        rig.fill_pb();
+        rig.queue.push_block(0, 0x4000, 16);
+        rig.assert_stalls(&mut pf);
+        // A queued line already buffered only bumps its consumers: work.
+        rig.queue.flush();
+        rig.queue.push_block(1, 0x90_0000, 16);
+        assert_eq!(rig.outlook(&pf), TickOutlook::Work);
+        rig.tick(&mut pf, 15);
+        assert_eq!(rig.stats.consumer_bumps, 1);
+        rig.pb.on_mispredict();
+        rig.queue.push_block(2, 0x4000, 16);
+        rig.assert_issues(&mut pf);
+    }
+
+    #[test]
+    fn record_replay_outlooks_track_stall_and_issue() {
+        let mut rig = Rig::new(PrefetcherKind::Mana);
+        let mut mana = ManaPrefetcher::new(&rig.cfg);
+        assert_eq!(rig.outlook(&mana), TickOutlook::Idle);
+        rig.fill_pb();
+        enqueue(&mut mana.reqq, 0x4000);
+        rig.assert_stalls(&mut mana);
+        rig.pb.complete(ReqId(1_000));
+        rig.assert_issues(&mut mana);
+
+        let mut rig = Rig::new(PrefetcherKind::ProgMap);
+        let mut pm = ProgMapPrefetcher::new(&rig.cfg);
+        assert_eq!(rig.outlook(&pm), TickOutlook::Idle);
+        rig.fill_pb();
+        enqueue(&mut pm.reqq, 0x4000);
+        enqueue(&mut pm.reqq, 0x90_0040);
+        rig.assert_stalls(&mut pm);
+        rig.pb.complete(ReqId(1_000));
+        rig.assert_issues(&mut pm);
+        // The next head is already buffered: dropped, which is work too.
+        assert_eq!(rig.outlook(&pm), TickOutlook::Work);
+        rig.tick(&mut pm, 30);
+        assert!(pm.reqq.is_empty());
     }
 
     #[test]

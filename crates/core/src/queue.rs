@@ -170,6 +170,12 @@ impl FetchQueue {
         self.lines.get_mut(self.pf_cursor)
     }
 
+    /// [`first_unprefetched`](Self::first_unprefetched) without advancing
+    /// the cursor: what the prefetcher's next scan would start from.
+    pub fn peek_unprefetched(&self) -> Option<&LineSlot> {
+        self.lines.range(self.pf_cursor..).find(|s| !s.prefetched)
+    }
+
     /// Iterate all queued slots front to back.
     pub fn iter_lines(&self) -> impl Iterator<Item = &LineSlot> {
         self.lines.iter()
@@ -263,10 +269,12 @@ mod tests {
             assert_eq!(s.line, 0x1000);
             s.prefetched = true;
         }
+        assert_eq!(q.peek_unprefetched().map(|s| s.line), Some(0x1040));
         let s = q.first_unprefetched().unwrap();
         assert_eq!(s.line, 0x1040);
         s.prefetched = true;
         assert!(q.first_unprefetched().is_none());
+        assert!(q.peek_unprefetched().is_none());
     }
 
     #[test]

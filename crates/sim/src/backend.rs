@@ -124,6 +124,11 @@ pub struct BackEnd {
     /// unresolved source tags.  Capacity is the map's width; construction
     /// rejects larger windows by name.
     waiting: u128,
+    /// The subset of `waiting` whose sources still carry a `DEP` tag.  A
+    /// blocked entry cannot issue until a wakeup patches its last tag, so
+    /// the issue scan and [`next_event`](Self::next_event) visit only
+    /// `waiting & !blocked`, and wakeups walk only `blocked`.
+    blocked: u128,
 }
 
 /// Sentinel ready-time for values still being produced.
@@ -151,6 +156,7 @@ impl BackEnd {
             next_seq: 0,
             pending_mispredicts: 0,
             waiting: 0,
+            blocked: 0,
             wake_buf: Vec::with_capacity(cfg.width as usize),
             cfg,
         }
@@ -210,7 +216,11 @@ impl BackEnd {
         if mispredict {
             self.pending_mispredicts += 1;
         }
-        self.waiting |= 1u128 << self.ruu.len();
+        let bit = 1u128 << self.ruu.len();
+        self.waiting |= bit;
+        if src_time.iter().any(|&t| t & DEP != 0) {
+            self.blocked |= bit;
+        }
         self.ruu.push_back(RuuEntry {
             seq,
             op: inst.op,
@@ -223,14 +233,21 @@ impl BackEnd {
         seq
     }
 
-    /// Broadcast a finished producer to every waiting consumer.  Consumers
+    /// Broadcast a finished producer to every blocked consumer.  Consumers
     /// always sit *behind* their producer (dependences are captured at
-    /// in-order dispatch), so the walk starts at `from`; only `Waiting`
-    /// entries can carry unresolved tags, so it visits set bits of
-    /// `waiting` rather than every younger entry.
-    fn wakeup(ruu: &mut VecDeque<RuuEntry>, waiting: u128, from: usize, producer: u64, at: u64) {
+    /// in-order dispatch), so the walk starts at `from`; only blocked
+    /// entries carry unresolved tags, so it visits set bits of `blocked`
+    /// rather than every younger entry, and unblocks an entry once its
+    /// last tag is patched.
+    fn wakeup(
+        ruu: &mut VecDeque<RuuEntry>,
+        blocked: &mut u128,
+        from: usize,
+        producer: u64,
+        at: u64,
+    ) {
         let tag = DEP | producer;
-        let mut bits = if from < 128 { (waiting >> from) << from } else { 0 };
+        let mut bits = if from < 128 { (*blocked >> from) << from } else { 0 };
         while bits != 0 {
             let idx = bits.trailing_zeros() as usize;
             bits &= bits - 1;
@@ -239,6 +256,9 @@ impl BackEnd {
                 if e.src_time[k] == tag {
                     e.src_time[k] = at;
                 }
+            }
+            if (e.src_time[0] | e.src_time[1]) & DEP == 0 {
+                *blocked &= !(1u128 << idx);
             }
         }
     }
@@ -261,7 +281,7 @@ impl BackEnd {
                 if last_writer[d.index()] == seq {
                     self.reg_ready[d.index()] = at;
                 }
-                Self::wakeup(&mut self.ruu, self.waiting, i + 1, seq, at);
+                Self::wakeup(&mut self.ruu, &mut self.blocked, i + 1, seq, at);
             }
         }
     }
@@ -285,9 +305,10 @@ impl BackEnd {
         let dcache_latency = self.cfg.dcache_latency as u64;
         let mut wake = std::mem::take(&mut self.wake_buf);
         wake.clear();
-        // Walk only the Waiting entries (set bits), oldest first — the
-        // same visit order as a full scan that skipped non-Waiting states.
-        let mut bits = self.waiting;
+        // Walk only the unblocked Waiting entries, oldest first — the same
+        // visit order as a full scan that skipped non-Waiting states (a
+        // blocked entry's tagged source can never be `<= now`).
+        let mut bits = self.waiting & !self.blocked;
         while issued < width && bits != 0 {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
@@ -369,7 +390,7 @@ impl BackEnd {
             issued += 1;
         }
         for &(from, seq, at) in &wake {
-            Self::wakeup(&mut self.ruu, self.waiting, from, seq, at);
+            Self::wakeup(&mut self.ruu, &mut self.blocked, from, seq, at);
         }
         self.wake_buf = wake;
 
@@ -413,10 +434,11 @@ impl BackEnd {
                 None => break,
             }
         }
-        // Committed entries were Done, never Waiting: shifting the bitmap
-        // down just re-anchors it at the new front.
+        // Committed entries were Done, never Waiting: shifting the bitmaps
+        // down just re-anchors them at the new front.
         debug_assert_eq!(self.waiting & ((1u128 << committed_now) - 1), 0);
         self.waiting >>= committed_now;
+        self.blocked >>= committed_now;
         if committed_now == 0 {
             self.stats.commit_stall_cycles += 1;
         }
@@ -425,6 +447,61 @@ impl BackEnd {
             committed_now,
             resolved_mispredict: resolved,
         }
+    }
+
+    /// Earliest cycle `>= now` at which [`tick`](Self::tick) does any
+    /// work, assuming no L2 completion arrives first: an unblocked waiting
+    /// entry's sources become ready, the commit head finishes, or the
+    /// oldest unresolved mispredict reaches its resolve cycle (one before
+    /// it finishes).  `u64::MAX` when only a completion can unstick it.
+    pub fn next_event(&self, now: u64) -> u64 {
+        let mut at = u64::MAX;
+        let mut bits = self.waiting & !self.blocked;
+        while bits != 0 {
+            let e = &self.ruu[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+            at = at.min(e.src_time[0].max(e.src_time[1]));
+            if at <= now {
+                return now;
+            }
+        }
+        if let Some(EState::Done(t)) = self.ruu.front().map(|e| e.state) {
+            at = at.min(t);
+        }
+        if self.pending_mispredicts > 0 {
+            if let Some(e) = self.ruu.iter().find(|e| e.mispredict) {
+                if let EState::Done(t) = e.state {
+                    at = at.min(t.saturating_sub(1));
+                }
+            }
+        }
+        at.max(now)
+    }
+
+    /// Credit `cycles` ticks that [`next_event`](Self::next_event) showed
+    /// to be idle.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        self.stats = self.stats_after_idle(cycles);
+    }
+
+    /// The statistics `cycles` idle ticks leave behind: each counts a
+    /// commit stall, and nothing else.
+    pub fn stats_after_idle(&self, cycles: u64) -> BackendStats {
+        BackendStats {
+            commit_stall_cycles: self.stats.commit_stall_cycles + cycles,
+            ..self.stats
+        }
+    }
+
+    /// Everything a tick can change except the per-cycle stall counter —
+    /// the stepping oracle's evidence that a cycle made progress.
+    #[cfg(debug_assertions)]
+    pub(crate) fn progress_mark(&self) -> impl PartialEq + std::fmt::Debug {
+        let stats = BackendStats {
+            commit_stall_cycles: 0,
+            ..self.stats
+        };
+        (stats, self.waiting, self.ruu.len(), self.pending_mispredicts)
     }
 
     /// Warm the D-cache directory (pre-measurement warm-up).
@@ -588,6 +665,92 @@ mod tests {
             l2s.tick(now);
         }
         assert!(l2s.stats().writebacks >= 1);
+    }
+
+    #[test]
+    fn next_event_waits_out_a_load_miss_at_the_head() {
+        let mut be = BackEnd::new(BackendConfig::default());
+        let mut l2s = l2();
+        let ld = StaticInst::plain(
+            0x1000,
+            OpClass::Load,
+            Some(Reg::int(1)),
+            Some(Reg::int(30)),
+            None,
+        );
+        be.dispatch(&ld, Some(0x4000_0000), false);
+        be.dispatch(&alu(0x1004, 2, 1), None, false);
+        assert_eq!(be.next_event(0), 0, "the load can issue at once");
+        be.tick(0, &mut l2s);
+        // The head waits on memory and its consumer on the head: nothing
+        // the back-end does alone can move it; the L2 system owns the wait.
+        assert_eq!(be.next_event(1), u64::MAX);
+        let due = 1 + 24 + 200;
+        let mut out = Vec::new();
+        for now in 1..due {
+            assert_eq!(be.next_event(now), u64::MAX);
+            l2s.tick_into(now, &mut out);
+            assert!(out.is_empty());
+            assert_eq!(be.tick(now, &mut l2s), BackTick::default());
+        }
+        assert_eq!(l2s.next_event(due), due);
+        l2s.tick_into(due, &mut out);
+        be.on_completion(&out[0]);
+        // Data at due+1 both commits the load and readies its consumer.
+        assert_eq!(be.next_event(due), due + 1);
+        assert_eq!(be.tick(due, &mut l2s).committed_now, 0);
+        assert_eq!(be.tick(due + 1, &mut l2s).committed_now, 1);
+    }
+
+    #[test]
+    fn next_event_skips_blocked_entries_until_their_producer_issues() {
+        let mut be = BackEnd::new(BackendConfig::default());
+        let mut l2s = l2();
+        let mul = StaticInst::plain(
+            0x1000,
+            OpClass::IntMul,
+            Some(Reg::int(1)),
+            Some(Reg::int(30)),
+            None,
+        );
+        be.dispatch(&mul, None, false);
+        be.dispatch(&alu(0x1004, 2, 1), None, false);
+        assert_eq!((be.waiting, be.blocked), (0b11, 0b10), "the consumer is blocked");
+        be.tick(0, &mut l2s);
+        // Issuing the 7-cycle multiply patched its consumer's tag into a
+        // time: unblocked, and due exactly when the product is.
+        assert_eq!((be.waiting, be.blocked), (0b10, 0));
+        for now in 1..7 {
+            assert_eq!(be.next_event(now), 7);
+            let credited = be.stats_after_idle(1);
+            be.tick(now, &mut l2s);
+            assert_eq!(*be.stats(), credited);
+        }
+        let t = be.tick(7, &mut l2s);
+        assert_eq!((t.committed_now, be.waiting), (1, 0), "head commits, consumer issues");
+    }
+
+    #[test]
+    fn next_event_resolves_a_mispredict_one_cycle_before_it_finishes() {
+        let mut be = BackEnd::new(BackendConfig::default());
+        let mut l2s = l2();
+        // A mispredict can sit on any instruction the predictor cut a
+        // stream at; a multiply resolves at its Done cycle minus one.
+        let mul = StaticInst::plain(
+            0x1000,
+            OpClass::IntMul,
+            Some(Reg::int(1)),
+            Some(Reg::int(30)),
+            None,
+        );
+        let seq = be.dispatch(&mul, None, true);
+        assert_eq!(be.tick(0, &mut l2s).resolved_mispredict, None);
+        assert_eq!(be.next_event(1), 6);
+        for now in 1..6 {
+            assert_eq!(be.tick(now, &mut l2s), BackTick::default());
+        }
+        assert_eq!(be.tick(6, &mut l2s).resolved_mispredict, Some(seq));
+        assert_eq!(be.next_event(7), 7, "then the commit");
     }
 
     #[test]

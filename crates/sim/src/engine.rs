@@ -13,6 +13,19 @@
 //!
 //! Wrong-path instructions are fetched and prefetched but never dispatched
 //! into the RUU (see DESIGN.md for this simplification).
+//!
+//! ## Event skipping
+//!
+//! Most cycles of a memory-bound run change nothing but per-cycle
+//! counters: an L1 miss waits out the L2 or memory latency, a load miss at
+//! the RUU head blocks commit just as long.  Before each cycle the engine
+//! asks every component for the earliest cycle at which its tick would do
+//! real work (`next_event`) and jumps the clock there, crediting the
+//! skipped cycles to the only per-cycle accumulators in bulk:
+//! `backend.commit_stall_cycles`, and `front.pb_alloc_stalls` while the
+//! prefetch mechanism is allocation-stalled.  Results are bit-identical to
+//! stepping every cycle.  Debug builds step each would-be jump instead and
+//! assert that it was exact (see `step_jump_checked`).
 
 use crate::backend::BackEnd;
 use crate::config::SimConfig;
@@ -476,7 +489,12 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         // Generous safety valve: nothing legitimate runs below 0.01 IPC.
         let deadline = self.clock + target * 120 + 1_000_000;
         while self.be.committed() - start < target {
-            self.cycle();
+            // Skip inside the loop guard, never after a cycle: once the
+            // target is met, the idle tail belongs to whatever runs next
+            // (warm-up's tail to the measured window).  The last cycle the
+            // valve allows still runs, so a wedged engine panics exactly
+            // where a stepping one would.
+            self.advance(deadline - 1);
             assert!(
                 self.clock < deadline,
                 "simulation wedged: {} committed of {target} after {} cycles",
@@ -484,6 +502,103 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                 self.clock
             );
         }
+    }
+
+    /// Free decode-buffer slots: the front-end's delivery bound.
+    fn decode_free(&self) -> u32 {
+        self.cfg
+            .decode_buffer
+            .saturating_sub(u32::try_from(self.decode.len()).unwrap_or(u32::MAX))
+    }
+
+    /// Earliest cycle `>= clock` at which [`cycle`](Self::cycle) does any
+    /// real work: a fetch block to predict, a decoded instruction to
+    /// dispatch, or the next event of the L2 system, the back-end or the
+    /// front-end.  Each part is exact, so every cycle before it is idle.
+    fn next_event(&self) -> u64 {
+        let now = self.clock;
+        if self.fe.has_queue_space() {
+            return now;
+        }
+        let mut at = u64::MAX;
+        if self.be.free_slots() > 0 {
+            if let Some(e) = self.decode.front() {
+                at = e.ready;
+            }
+        }
+        // Cheapest first, stopping as soon as something is due now.
+        if at > now {
+            at = at.min(self.l2.next_event(now));
+        }
+        if at > now {
+            at = at.min(self.be.next_event(now));
+        }
+        if at > now {
+            at = at.min(self.fe.next_event(now, self.decode_free()));
+        }
+        at.max(now)
+    }
+
+    /// Run the next cycle that does real work, first jumping the clock
+    /// over the idle cycles before it (but not past `last`) and crediting
+    /// them in bulk.  Debug builds step the jump instead.
+    fn advance(&mut self, last: u64) {
+        let to = self.next_event().min(last);
+        if to > self.clock {
+            #[cfg(debug_assertions)]
+            return self.step_jump_checked(to, last);
+            #[cfg(not(debug_assertions))]
+            {
+                let cycles = to - self.clock;
+                self.be.skip_idle(cycles);
+                self.fe.skip_idle(cycles);
+                self.clock = to;
+            }
+        }
+        self.cycle();
+    }
+
+    /// The oracle for a jump to `to`: step every cycle up to and including
+    /// it, asserting that no cycle before `to` makes progress, that cycle
+    /// `to` does (unless it is `last`, the deadline), and that the stepped
+    /// per-cycle counters equal the bulk credit the jump would have given.
+    #[cfg(debug_assertions)]
+    fn step_jump_checked(&mut self, to: u64, last: u64) {
+        let cycles = to - self.clock;
+        let credited = (self.be.stats_after_idle(cycles), self.fe.stats_after_idle(cycles));
+        while self.clock < to {
+            let mark = self.progress_mark();
+            self.cycle();
+            assert!(
+                self.progress_mark() == mark,
+                "cycle {} made progress inside a jump to {to}",
+                self.clock - 1
+            );
+        }
+        assert_eq!(
+            (*self.be.stats(), *self.fe.stats()),
+            credited,
+            "bulk credit for {cycles} idle cycles differs from stepping them"
+        );
+        let mark = self.progress_mark();
+        self.cycle();
+        assert!(
+            self.progress_mark() != mark || to == last,
+            "cycle {to}, the target of a jump, made no progress"
+        );
+    }
+
+    /// Everything a cycle can change except the clock and the per-cycle
+    /// stall counters.
+    #[cfg(debug_assertions)]
+    fn progress_mark(&self) -> impl PartialEq + std::fmt::Debug {
+        (
+            (self.l2.stats().grants(), self.l2.outstanding()),
+            self.be.progress_mark(),
+            self.fe.progress_mark(),
+            (self.decode.len(), self.next_seq, self.pending_truth.len()),
+            (self.blocks.len(), self.redirects),
+        )
     }
 
     /// Advance the whole machine by one cycle.
@@ -508,10 +623,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         }
 
         // 3. Front-end fetch (bounded by decode-buffer space).
-        let free = self
-            .cfg
-            .decode_buffer
-            .saturating_sub(u32::try_from(self.decode.len()).unwrap_or(u32::MAX));
+        let free = self.decode_free();
         self.deliveries.clear();
         let mut deliveries = std::mem::take(&mut self.deliveries);
         self.fe.tick(now, &mut self.l2, free, &mut deliveries);
@@ -842,6 +954,19 @@ mod tests {
             "CLGP prestage share only {:.1}%",
             share * 100.0
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation wedged: 0 committed of 100 after 1012000 cycles")]
+    fn a_never_committing_engine_still_panics_at_the_deadline() {
+        // Without a decode buffer nothing is ever delivered, so nothing
+        // commits: once the fetch pipeline fills, every cycle is idle and
+        // the engine jumps straight to the last cycle the valve allows.
+        let w = tiny("gzip");
+        let mut cfg = SimConfig::preset(ConfigPreset::Base, TechNode::T045, 4 << 10)
+            .with_insts(100, 100);
+        cfg.decode_buffer = 0;
+        Engine::new(cfg, &w, 7).run();
     }
 
     #[test]
