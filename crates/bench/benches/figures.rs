@@ -1,6 +1,6 @@
 //! One Criterion group per figure family: `cargo bench` regenerates a
-//! miniature of every reproduced artifact (the figure binaries in
-//! `src/bin/` run the full-size versions).
+//! miniature of every reproduced artifact (`prestage run <figure>` and the
+//! binaries in `src/bin/` run the full-size versions).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use prestage_cacti::TechNode;

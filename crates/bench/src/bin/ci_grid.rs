@@ -305,9 +305,8 @@ fn main() {
     let prev_path = std::env::var_os("PRESTAGE_PREV_JSON")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| path.clone());
-    // Upgrade-or-compare, explicitly: a readable baseline (current schema,
-    // or the previous one upgraded in place) is diffed; an unreadable one
-    // is *named* — never a silent skip that reads as "no movement".
+    // A current-schema baseline is diffed; any other is *named* — never a
+    // silent skip that reads as "no movement".
     let mut failed = false;
     match std::fs::read_to_string(&prev_path) {
         Err(_) => println!("\nno previous artifact at {} — baseline run", prev_path.display()),
@@ -315,11 +314,8 @@ fn main() {
             Err(why) => {
                 println!("\n::warning::ci_grid: {why}; treating this as a baseline run");
             }
-            Ok((prev, note)) => {
+            Ok(prev) => {
                 println!("\n# vs previous run ({})", prev_path.display());
-                if let Some(n) = note {
-                    println!("note: {n}");
-                }
                 let (deltas, warnings, failures) = diff(&prev, &report);
                 for d in &deltas {
                     println!("{d}");

@@ -5,10 +5,9 @@
 //!
 //! Serialization rides the shared [`prestage_json`] module (the original
 //! hand-rolled line scanner this module started as was promoted there).
-//! Baselines load through [`load_baseline`]: the previous schema (5) is
-//! upgraded in place so one schema bump never costs a comparison, and
-//! anything else — an older schema, damaged JSON, a truncation — is a
-//! *named* error rather than a silent "no baseline".
+//! Baselines load through [`load_baseline`], the one parser: it reads the
+//! current schema only, and anything else — another schema, damaged JSON,
+//! a truncation — is a *named* error rather than a silent "no baseline".
 //!
 //! Micro-bench medians arrive via the Criterion shim's
 //! `CRITERION_MEDIANS_FILE` hook (vendor/criterion): each
@@ -86,9 +85,9 @@ pub struct ServePerf {
 }
 
 /// A whole CI perf report.  The artifact's schema number is not a field:
-/// [`PerfReport::to_json`] always writes [`PERF_SCHEMA`] and `from_json`
-/// only accepts it, so a report that would be rejected by its own reader
-/// cannot be constructed.
+/// [`PerfReport::to_json`] always writes [`PERF_SCHEMA`] and
+/// [`load_baseline`] only accepts it, so a report that would be rejected
+/// by its own reader cannot be constructed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     pub total_wall_s: f64,
@@ -112,9 +111,8 @@ pub struct PerfReport {
 /// `elems`/`policy` (throughput + measurement-policy provenance) and the
 /// spread-derived `fail_threshold`; 6 grew the grid's row set with the
 /// TLB-on row (an `itlb`-suffixed preset label simulated with address
-/// translation enabled).  A schema-5 baseline is upgraded in place by
-/// [`load_baseline`]; anything older reads as a *named* schema mismatch,
-/// never a silent "no baseline".
+/// translation enabled).  [`load_baseline`] reads this schema only; any
+/// other reads as a *named* schema mismatch, never a silent "no baseline".
 pub const PERF_SCHEMA: u32 = 6;
 
 /// Relative change `new/old - 1`, with a zero/zero as no change and a
@@ -196,24 +194,9 @@ impl PerfReport {
         .pretty()
     }
 
-    /// Parse a report previously written by [`PerfReport::to_json`].
-    /// Returns `None` on anything that does not look like a complete
-    /// current-schema report, so CI treats a stale or damaged artifact as
-    /// "no baseline" rather than silently comparing less.  For baseline
-    /// loading with explicit schema-5 upgrade, use [`load_baseline`].
-    pub fn from_json(text: &str) -> Option<PerfReport> {
-        let v = Json::parse(text).ok()?;
-        if v.get("schema")?.as_u64()? as u32 != PERF_SCHEMA {
-            return None;
-        }
-        Self::parse_with_schema(&v, PERF_SCHEMA)
-    }
-
-    /// Shared body for schema 6 (current) and schema 5 (upgrade path):
-    /// the two are structurally identical — 6 marks the grid's row set
-    /// growing the TLB-on row — while the `schema >= 5` guards keep the
-    /// historical field boundaries explicit.
-    fn parse_with_schema(v: &Json, schema: u32) -> Option<PerfReport> {
+    /// The fields of a current-schema report; `None` if any is missing or
+    /// mistyped.
+    fn parse(v: &Json) -> Option<PerfReport> {
         let cells = v
             .get("cells")?
             .as_arr()?
@@ -240,16 +223,8 @@ impl PerfReport {
                 Some(BenchMedian {
                     name: b.get("name")?.as_str()?.to_string(),
                     median_ns: b.get("median_ns")?.as_f64()?,
-                    elems: if schema >= 5 {
-                        b.get("elems")?.as_u64()?
-                    } else {
-                        0
-                    },
-                    policy: if schema >= 5 {
-                        b.get("policy")?.as_str()?.to_string()
-                    } else {
-                        String::new()
-                    },
+                    elems: b.get("elems")?.as_u64()?,
+                    policy: b.get("policy")?.as_str()?.to_string(),
                 })
             })
             .collect::<Option<Vec<_>>>()?;
@@ -260,92 +235,65 @@ impl PerfReport {
                 cache_hit_s: s.get("cache_hit_s")?.as_f64()?,
             }),
         };
-        let fail_threshold = if schema >= 5 {
-            v.get("fail_threshold")?.as_f64()?
-        } else {
-            Self::derived_fail_threshold(&cells)
-        };
         Some(PerfReport {
             total_wall_s: v.get("total_wall_s")?.as_f64()?,
             cells,
             benches,
             serve,
-            fail_threshold,
+            fail_threshold: v.get("fail_threshold")?.as_f64()?,
         })
     }
 }
 
-/// Load a baseline artifact for comparison: upgrade-or-compare,
-/// explicitly.  A current-schema report parses as-is; a schema-5 report
-/// is upgraded in place (it predates the TLB-on grid row, which will
-/// diff as a new cell) with a note saying so; anything else — an older
-/// schema, a future schema, damaged JSON — is a *named* error, so CI
-/// output states exactly why no comparison happened instead of silently
-/// skipping it.
-pub fn load_baseline(text: &str) -> Result<(PerfReport, Option<String>), String> {
+/// Load a baseline artifact written by [`PerfReport::to_json`].  Anything
+/// but a complete current-schema report — another schema, damaged JSON,
+/// a truncation — is a *named* error, so CI output states exactly why no
+/// comparison happened instead of silently skipping it.
+pub fn load_baseline(text: &str) -> Result<PerfReport, String> {
     let v = Json::parse(text).map_err(|e| format!("baseline artifact is not JSON: {e}"))?;
     let schema = v
         .get("schema")
         .and_then(Json::as_u64)
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or("baseline artifact has no in-range numeric `schema` field")?;
-    match schema {
-        PERF_SCHEMA => PerfReport::parse_with_schema(&v, PERF_SCHEMA)
-            .map(|r| (r, None))
-            .ok_or_else(|| format!("baseline artifact is schema {PERF_SCHEMA} but incomplete")),
-        5 => PerfReport::parse_with_schema(&v, 5)
-            .map(|r| {
-                let note = format!(
-                    "baseline artifact upgraded from schema 5 to {PERF_SCHEMA} \
-                     (predates the TLB-on grid row, which will diff as a new cell)"
-                );
-                (r, Some(note))
-            })
-            .ok_or_else(|| "baseline artifact is schema 5 but incomplete".to_string()),
-        n => Err(format!(
-            "baseline artifact is schema {n}, this build reads {PERF_SCHEMA} \
-             (upgradeable: 5) — regenerate the baseline"
-        )),
+        .ok_or("baseline artifact has no numeric `schema` field")?;
+    if schema != u64::from(PERF_SCHEMA) {
+        return Err(format!(
+            "baseline artifact is schema {schema}, this build reads {PERF_SCHEMA} \
+             — regenerate the baseline"
+        ));
     }
+    PerfReport::parse(&v)
+        .ok_or_else(|| format!("baseline artifact is schema {PERF_SCHEMA} but incomplete"))
 }
 
 /// Parse the Criterion shim's medians file: one
-/// `name<TAB>median_ns[<TAB>elems<TAB>policy]` line per benchmark, later
-/// lines winning on re-run (append semantics).  The two-column form is the
-/// pre-policy shim's output and reads as unknown throughput/policy.
-/// Malformed lines are a loud error — the file is machine-written, so
-/// damage means the pipeline is broken.
+/// `name<TAB>median_ns<TAB>elems<TAB>policy` line per benchmark, later
+/// lines winning on re-run (append semantics).  Malformed lines are a
+/// loud error — the file is machine-written, so damage means the pipeline
+/// is broken.
 pub fn parse_medians_tsv(text: &str) -> Result<Vec<BenchMedian>, String> {
     let mut out: Vec<BenchMedian> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let mut fields = line.split('\t');
-        // `split` always yields at least one field; the empty fallback
-        // only keeps this panic-free.
-        let name = fields.next().unwrap_or("");
-        let ns = fields
-            .next()
-            .ok_or_else(|| format!("medians line {} has no tab: {line:?}", i + 1))?;
-        let median_ns: f64 = ns
-            .trim()
-            .parse()
-            .map_err(|_| format!("medians line {} has a bad number: {line:?}", i + 1))?;
-        let (elems, policy) = match (fields.next(), fields.next()) {
-            (None, _) => (0, String::new()),
-            (Some(e), p) => (
-                e.trim().parse::<u64>().map_err(|_| {
-                    format!("medians line {} has a bad element count: {line:?}", i + 1)
-                })?,
-                p.unwrap_or("").trim().to_string(),
-            ),
+        let fields: Vec<&str> = line.split('\t').collect();
+        let [name, ns, elems, policy] = fields[..] else {
+            return Err(format!(
+                "medians line {} does not have 4 tab-separated columns: {line:?}",
+                i + 1
+            ));
         };
         let parsed = BenchMedian {
             name: name.to_string(),
-            median_ns,
-            elems,
-            policy,
+            median_ns: ns
+                .trim()
+                .parse()
+                .map_err(|_| format!("medians line {} has a bad number: {line:?}", i + 1))?,
+            elems: elems
+                .trim()
+                .parse()
+                .map_err(|_| format!("medians line {} has a bad element count: {line:?}", i + 1))?,
+            policy: policy.trim().to_string(),
         };
         match out.iter_mut().find(|b| b.name == name) {
             Some(b) => *b = parsed,
@@ -574,68 +522,44 @@ mod tests {
     #[test]
     fn json_roundtrips() {
         let r = report(1.25, 0.0125);
-        let back = PerfReport::from_json(&r.to_json()).expect("parses");
+        let back = load_baseline(&r.to_json()).expect("parses");
         assert_eq!(back, r);
     }
 
     #[test]
     fn garbage_and_other_schemas_are_no_baseline() {
-        assert!(PerfReport::from_json("").is_none());
-        assert!(PerfReport::from_json("not json at all").is_none());
+        assert!(load_baseline("").is_err());
+        assert!(load_baseline("not json at all").is_err());
         let other = report(1.0, 1.0)
             .to_json()
             .replace("\"schema\": 6", "\"schema\": 2");
-        assert!(PerfReport::from_json(&other).is_none());
-    }
-
-    /// A schema-5 artifact (the previous release's format — structurally
-    /// identical, but written before the grid grew the TLB-on row) must
-    /// read as the current schema's shape.
-    fn schema5_json() -> String {
-        report(1.0, 0.01)
-            .to_json()
-            .replace("\"schema\": 6", "\"schema\": 5")
+        assert!(load_baseline(&other).is_err());
     }
 
     #[test]
-    fn baseline_upgrades_schema_5_and_names_everything_else() {
-        // Schema 6 loads clean, no note.
+    fn baseline_loads_the_current_schema_and_names_everything_else() {
         let six = report(1.0, 0.01);
-        let (loaded, note) = load_baseline(&six.to_json()).expect("current schema loads");
-        assert_eq!(loaded, six);
-        assert!(note.is_none());
-
-        // Schema 5 upgrades in place, with a note naming the boundary.
-        let (up, note) = load_baseline(&schema5_json()).expect("schema 5 upgrades");
-        let note = note.expect("upgrade is announced");
-        assert!(note.contains("schema 5"), "{note}");
-        assert!(note.contains("TLB"), "{note}");
-        assert_eq!(up, report(1.0, 0.01));
-        // The upgraded baseline diffs against a current report without
-        // spurious warnings: the schema boundary costs nothing.
-        let (deltas, warnings, failures) = diff(&up, &report(1.0, 0.01));
-        assert!(!deltas.is_empty());
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(
+            load_baseline(&six.to_json()).expect("current schema loads"),
+            six
+        );
 
         // Everything else is a *named* refusal, not a silent skip —
-        // including schema 4, which was upgradeable one release ago and
-        // now names both itself and the supported upgrade floor.
+        // including schema 5, whose last producer was replaced by schema 6.
         let e = load_baseline("not json").unwrap_err();
         assert!(e.contains("not JSON"), "{e}");
-        let four = report(1.0, 1.0)
-            .to_json()
-            .replace("\"schema\": 6", "\"schema\": 4");
-        let e = load_baseline(&four).unwrap_err();
-        assert!(e.contains("schema 4"), "{e}");
-        assert!(e.contains("upgradeable: 5"), "{e}");
-        let two = report(1.0, 1.0)
-            .to_json()
-            .replace("\"schema\": 6", "\"schema\": 2");
-        let e = load_baseline(&two).unwrap_err();
-        assert!(e.contains("schema 2"), "{e}");
+        for old in [5, 4, 2] {
+            let text = six
+                .to_json()
+                .replace("\"schema\": 6", &format!("\"schema\": {old}"));
+            let e = load_baseline(&text).unwrap_err();
+            assert!(e.contains(&format!("schema {old}")), "{e}");
+            assert!(e.contains("reads 6"), "{e}");
+        }
         let e = load_baseline("{\"schema\": true}").unwrap_err();
         assert!(e.contains("schema"), "{e}");
+        let e = load_baseline("{\"schema\": 6}").unwrap_err();
+        assert!(e.contains("incomplete"), "{e}");
     }
 
     #[test]
@@ -711,7 +635,7 @@ mod tests {
         // report: truncated JSON simply fails to parse.
         let full = report(1.0, 1.0).to_json();
         let cut = full.find("\"CLGP+L0\"").unwrap();
-        assert!(PerfReport::from_json(&full[..cut]).is_none());
+        assert!(load_baseline(&full[..cut]).is_err());
     }
 
     #[test]
@@ -740,7 +664,7 @@ mod tests {
         // The spread survives the artifact round-trip and shows up in the
         // human-readable deltas, so successive CI runs accumulate the
         // noise evidence the warning→failure escalation needs.
-        let back = PerfReport::from_json(&r.to_json()).unwrap();
+        let back = load_baseline(&r.to_json()).unwrap();
         assert_eq!(back.cells[0].min_cell_wall_s, r.cells[0].min_cell_wall_s);
         assert_eq!(back.cells[0].max_cell_wall_s, r.cells[0].max_cell_wall_s);
         let (deltas, _, _) = diff(&r, &r);
@@ -804,12 +728,12 @@ mod tests {
             jobs_per_s: 12.5,
             cache_hit_s: 0.003,
         });
-        let back = PerfReport::from_json(&r.to_json()).expect("parses");
+        let back = load_baseline(&r.to_json()).expect("parses");
         assert_eq!(back, r);
         // An absent section serializes as null and round-trips to None.
         let absent = report(1.0, 0.01);
         assert!(absent.to_json().contains("\"serve\": null"));
-        assert_eq!(PerfReport::from_json(&absent.to_json()).unwrap().serve, None);
+        assert_eq!(load_baseline(&absent.to_json()).unwrap().serve, None);
 
         // Small movement: reported, not warned.
         let mut faster = r.clone();
@@ -844,13 +768,22 @@ mod tests {
 
     #[test]
     fn medians_tsv_parses_and_dedupes() {
-        let text = "engine/crafty_20k\t6420000\nbpred/predict_train\t271.5\n\nengine/crafty_20k\t6500000\n";
+        let text = "engine/crafty_20k\t6420000\t20000\tmin-median:rounds=5,warmup=3\n\
+                    bpred/predict_train\t271.5\t1\tmin-median:rounds=5,warmup=3\n\n\
+                    engine/crafty_20k\t6500000\t20000\tmin-median:rounds=5,warmup=3\n";
         let medians = parse_medians_tsv(text).unwrap();
         assert_eq!(medians.len(), 2);
         assert_eq!(medians[0].name, "engine/crafty_20k");
         // Later lines win: a re-run's append supersedes the first.
         assert!((medians[0].median_ns - 6_500_000.0).abs() < 1e-9);
+        assert_eq!(
+            (medians[0].elems, medians[0].policy.as_str()),
+            (20_000, "min-median:rounds=5,warmup=3")
+        );
         assert!(parse_medians_tsv("no tab here").is_err());
-        assert!(parse_medians_tsv("name\tnot_a_number").is_err());
+        assert!(parse_medians_tsv("name\tnot_a_number\t1\tp").is_err());
+        assert!(parse_medians_tsv("name\t1\tmany\tp").is_err());
+        // The pre-policy two-column form has no writer left.
+        assert!(parse_medians_tsv("engine/crafty_20k\t6420000").is_err());
     }
 }

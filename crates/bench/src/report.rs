@@ -1,8 +1,7 @@
 //! The one place figure output is rendered.
 //!
-//! Every figure binary used to hand-roll its own table printing and CSV
-//! emission; they are now declarations (an [`ExperimentSpec`] plus a
-//! [`ReportKind`]) and this module owns the four renderings the paper's
+//! Figures are declarations (an [`ExperimentSpec`] plus a
+//! [`ReportKind`]); this module owns the four renderings the paper's
 //! figures need.  Each renderer takes the spec (for axes and labels) and
 //! the ordered `[preset][size]` rows `run_spec` returned, prints the
 //! figure's data series as an aligned text table, and writes the matching

@@ -14,10 +14,10 @@ use crate::stream::{
     static_fallback_walk, FetchBlockPredictor, StreamDesc, StreamEnd, StreamPrediction,
 };
 use prestage_isa::{Addr, Program, INST_BYTES};
-use serde::{Deserialize, Serialize};
+use prestage_json::counters;
 
 /// Configuration of the cascaded stream predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamPredictorConfig {
     /// First-level (PC-indexed) entries.  Paper: 1024.
     pub l1_entries: usize,
@@ -83,15 +83,16 @@ pub struct TrainToken {
     l2_tag: u32,
 }
 
-/// Prediction accuracy and table-usage counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PredStats {
-    pub predictions: u64,
-    pub l1_supplied: u64,
-    pub l2_supplied: u64,
-    pub fallback_supplied: u64,
-    pub trained: u64,
-    pub train_correct: u64,
+counters! {
+    /// Prediction accuracy and table-usage counters.
+    pub struct PredStats {
+        pub predictions: u64,
+        pub l1_supplied: u64,
+        pub l2_supplied: u64,
+        pub fallback_supplied: u64,
+        pub trained: u64,
+        pub train_correct: u64,
+    }
 }
 
 impl PredStats {

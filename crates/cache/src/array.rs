@@ -2,10 +2,9 @@
 
 use crate::lru::LruSet;
 use prestage_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for one array.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
@@ -25,7 +24,7 @@ pub struct CacheStats {
 /// [`FillClass::Prefetch`] — speculative lines whose usefulness is not yet
 /// proven.  Per Jamet et al., naive MRU insertion of speculative lines can
 /// erase a prefetcher's front-end gains by evicting demand-hot lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertionPolicy {
     /// Insert at MRU, exactly like a demand fill (the historical behavior).
     Mru,

@@ -19,12 +19,12 @@
 use crate::array::SetAssocCache;
 use prestage_cacti::{latency_cycles, CacheGeometry, TechNode};
 use prestage_isa::{align_line, Addr};
-use serde::{Deserialize, Serialize};
+use prestage_json::counters;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Requestor classes, in strictly decreasing bus priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReqClass {
     /// L1 data-cache demand misses and writebacks.
     DCache = 0,
@@ -35,11 +35,11 @@ pub enum ReqClass {
 }
 
 /// Handle for an outstanding request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqId(pub u64);
 
 /// Where a completed request's data came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSource {
     /// Unified L2 hit.
     L2,
@@ -60,7 +60,7 @@ pub struct Completion {
 }
 
 /// Static configuration of the L2 system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct L2Config {
     pub capacity: usize,
     pub line: usize,
@@ -88,17 +88,18 @@ impl L2Config {
     }
 }
 
-/// Bus/L2/memory statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BusStats {
-    pub grants_dcache: u64,
-    pub grants_ifetch: u64,
-    pub grants_prefetch: u64,
-    pub writebacks: u64,
-    pub l2_hits: u64,
-    pub l2_misses: u64,
-    /// Total cycles requests spent queued waiting for a grant.
-    pub wait_cycles: u64,
+counters! {
+    /// Bus/L2/memory statistics.
+    pub struct BusStats {
+        pub grants_dcache: u64,
+        pub grants_ifetch: u64,
+        pub grants_prefetch: u64,
+        pub writebacks: u64,
+        pub l2_hits: u64,
+        pub l2_misses: u64,
+        /// Total cycles requests spent queued waiting for a grant.
+        pub wait_cycles: u64,
+    }
 }
 
 impl BusStats {

@@ -9,10 +9,8 @@
 //! that: `start` returns when the access's data is available, while the
 //! internal occupancy decides how soon the *next* access may begin.
 
-use serde::{Deserialize, Serialize};
-
 /// One port of a storage array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayPort {
     /// Access latency in cycles (≥ 1).
     latency: u32,

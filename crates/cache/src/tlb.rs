@@ -15,10 +15,9 @@
 
 use crate::lru::LruSet;
 use prestage_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for an instruction TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ITlbConfig {
     /// Total translation entries (all ways).
     pub entries: usize,

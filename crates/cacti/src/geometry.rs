@@ -1,9 +1,7 @@
 //! Cache geometry descriptions and candidate array organisations.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical description of a cache-like SRAM structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub capacity: usize,

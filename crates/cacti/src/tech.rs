@@ -1,12 +1,10 @@
 //! SIA technology roadmap (Table 1 of the paper) and node arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// A CMOS technology node from the SIA roadmap used by the paper.
 ///
 /// The paper evaluates two of them (0.09 µm and 0.045 µm) but reproduces the
 /// full roadmap row in its Table 1, so we carry all five.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TechNode {
     /// 0.18 µm (1999)
     T180,
@@ -21,7 +19,7 @@ pub enum TechNode {
 }
 
 /// One row of the SIA roadmap (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiaEntry {
     pub node: TechNode,
     pub year: u32,

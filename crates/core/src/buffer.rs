@@ -16,10 +16,9 @@
 
 use prestage_cache::ReqId;
 use prestage_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Replacement/usage semantics of the buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PbKind {
     /// FDP prefetch buffer: free-on-use.
     Fdp,

@@ -2,7 +2,6 @@
 
 use prestage_cache::{ITlbConfig, InsertionPolicy};
 use prestage_cacti::{latency_cycles, CacheGeometry, TechNode};
-use serde::{Deserialize, Serialize};
 
 /// Which prefetch engine drives the pre-buffer.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// [`InstrPrefetcher`](crate::prefetch::InstrPrefetcher) trait; the
 /// front-end is generic over the mechanism and the registry hook is the
 /// monomorphic `InstrPrefetcher::from_config`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// No prefetching (baseline).
     None,
@@ -74,7 +73,7 @@ impl PrefetcherKind {
 }
 
 /// Static configuration of the front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontendConfig {
     pub tech: TechNode,
     /// Instructions delivered per cycle (Table 2: 4).

@@ -49,11 +49,10 @@ use prestage_cache::{
     TlbCheckpoint, TlbStats,
 };
 use prestage_isa::{Addr, INST_BYTES};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Where a fetched line came from (Figure 7 categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FetchSource {
     PreBuffer,
     L0,

@@ -14,11 +14,10 @@
 //! one structure serves FDP, CLGP and the no-prefetch baseline.
 
 use prestage_isa::{align_line, Addr, INST_BYTES};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Presentation/bookkeeping granularity of the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// Fetch target queue: one logical entry per fetch block (FDP).
     Ftq,

@@ -1,50 +1,69 @@
 //! Front-end statistics: the raw counters behind Figures 7 and 8.
 
-use serde::{Deserialize, Serialize};
+use prestage_json::{counters, Counter, Json};
 
 /// Counters for one storage source, tracked both per fetched line and per
 /// delivered instruction (the paper's Figure 7 plots per-fetch shares).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceCount {
     pub lines: u64,
     pub insts: u64,
 }
 
-/// All front-end counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FrontStats {
-    // -- Fetch sources (Figure 7) --
-    pub fetch_pb: SourceCount,
-    pub fetch_l0: SourceCount,
-    pub fetch_l1: SourceCount,
-    pub fetch_l2: SourceCount,
-    pub fetch_mem: SourceCount,
+/// Encoded as the `[lines, insts]` pair.
+impl Counter for SourceCount {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.lines.into(), self.insts.into()])
+    }
 
-    // -- Prefetch sources (Figure 8): where the line was found when the
-    //    prefetch request was processed --
-    pub prefetch_from_pb: u64,
-    pub prefetch_from_l1: u64,
-    pub prefetch_from_l2: u64,
-    pub prefetch_from_mem: u64,
+    fn from_json(v: &Json, path: &str) -> Result<Self, String> {
+        if let Some([lines, insts]) = v.as_arr() {
+            if let (Some(lines), Some(insts)) = (lines.as_u64(), insts.as_u64()) {
+                return Ok(SourceCount { lines, insts });
+            }
+        }
+        Err(format!(
+            "stats field {path:?} must be a [lines, insts] pair of unsigned integers"
+        ))
+    }
+}
 
-    /// Prefetch requests issued to the memory system (L1 copies + L2/Mem).
-    pub prefetches_issued: u64,
-    /// FDP only: candidates dropped by Enqueue Cache Probe Filtering.
-    pub filtered: u64,
-    /// Prefetches that stalled waiting for a free pre-buffer entry
-    /// (cycle counts).
-    pub pb_alloc_stalls: u64,
+counters! {
+    /// All front-end counters.
+    pub struct FrontStats {
+        // -- Fetch sources (Figure 7) --
+        pub fetch_pb: SourceCount,
+        pub fetch_l0: SourceCount,
+        pub fetch_l1: SourceCount,
+        pub fetch_l2: SourceCount,
+        pub fetch_mem: SourceCount,
 
-    /// Fetch blocks accepted into the queue.
-    pub blocks_pushed: u64,
-    /// Queue-full rejections.
-    pub blocks_rejected: u64,
-    /// Front-end flushes (branch mispredictions reaching the front-end).
-    pub flushes: u64,
+        // -- Prefetch sources (Figure 8): where the line was found when the
+        //    prefetch request was processed --
+        pub prefetch_from_pb: u64,
+        pub prefetch_from_l1: u64,
+        pub prefetch_from_l2: u64,
+        pub prefetch_from_mem: u64,
 
-    /// CLGP: consumers-counter increments (a queued line was already
-    /// prestaged).
-    pub consumer_bumps: u64,
+        /// Prefetch requests issued to the memory system (L1 copies + L2/Mem).
+        pub prefetches_issued: u64,
+        /// FDP only: candidates dropped by Enqueue Cache Probe Filtering.
+        pub filtered: u64,
+        /// Prefetches that stalled waiting for a free pre-buffer entry
+        /// (cycle counts).
+        pub pb_alloc_stalls: u64,
+
+        /// Fetch blocks accepted into the queue.
+        pub blocks_pushed: u64,
+        /// Queue-full rejections.
+        pub blocks_rejected: u64,
+        /// Front-end flushes (branch mispredictions reaching the front-end).
+        pub flushes: u64,
+
+        /// CLGP: consumers-counter increments (a queued line was already
+        /// prestaged).
+        pub consumer_bumps: u64,
+    }
 }
 
 impl FrontStats {

@@ -2,14 +2,13 @@
 
 use crate::addr::{Addr, INST_BYTES};
 use crate::inst::{OpClass, StaticInst};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a basic block inside a [`crate::Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
 /// How control leaves a basic block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Terminator {
     /// Conditional branch: `taken` target or fall-through.
     CondBranch { taken: Addr, not_taken: Addr },
@@ -39,7 +38,7 @@ impl Terminator {
 
 /// A straight-line run of instructions ending in (at most) one control
 /// transfer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BasicBlock {
     pub id: BlockId,
     /// PC of the first instruction.

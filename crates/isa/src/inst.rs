@@ -2,7 +2,6 @@
 //! per-instruction record stored in the basic-block dictionary.
 
 use crate::addr::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Total architectural registers: 32 integer + 32 floating point.
 pub const NUM_REGS: usize = 64;
@@ -12,7 +11,7 @@ pub const FIRST_FP_REG: u8 = 32;
 pub const REG_ZERO: Reg = Reg(31);
 
 /// An architectural register.  `0..32` integer, `32..64` floating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -46,7 +45,7 @@ impl Reg {
 /// The back-end only needs classes (for latency and port binding), not full
 /// opcodes — the same granularity the paper's trace simulator keeps in its
 /// basic-block dictionary ("type, source/target registers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Single-cycle integer ALU operation.
     IntAlu,
@@ -103,7 +102,7 @@ impl OpClass {
 }
 
 /// One static instruction in the basic-block dictionary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticInst {
     /// Program counter of this instruction.
     pub pc: Addr,

@@ -12,7 +12,6 @@
 use crate::addr::{Addr, INST_BYTES};
 use crate::block::{BasicBlock, BlockId, Terminator};
 use crate::inst::StaticInst;
-use serde::{Deserialize, Serialize};
 
 /// Errors detected while assembling a [`Program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +43,7 @@ impl std::fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// An immutable static program image (basic-block dictionary).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Blocks sorted by start address; `BlockId` indexes this vector.
     blocks: Vec<BasicBlock>,

@@ -3,9 +3,9 @@
 //! A minimal JSON value tree with a hand-written parser and a
 //! deterministic writer — the one serialization substrate shared by the
 //! [`ExperimentSpec`] API, the `prestage shard`/`merge` files, and the CI
-//! perf artifacts.  The vendored `serde` shim has no data-format backend
-//! (vendor/README.md), so everything that crosses a process boundary in
-//! this workspace goes through this module instead.
+//! perf artifacts: everything that crosses a process boundary in this
+//! workspace goes through this module.  Statistics blocks declare their
+//! counters once with [`counters!`], which derives their exact codec.
 //!
 //! Design constraints, in order:
 //!
@@ -22,8 +22,7 @@
 //!    and a human-readable reason, matching the workspace's loud-parsing
 //!    policy.
 //!
-//! Non-goals: streaming, zero-copy, or full `serde` integration.  The
-//! trees involved are kilobytes.
+//! Non-goals: streaming and zero-copy.  The trees involved are kilobytes.
 //!
 //! [`ExperimentSpec`]: https://docs.rs/prestage-sim
 
@@ -527,6 +526,111 @@ impl<T: Into<Json>> From<Option<T>> for Json {
             None => Json::Null,
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Counter blocks.
+// ---------------------------------------------------------------------------
+
+/// A statistics value with one exact JSON form: a `u64` counter, a
+/// hand-written compound (a `[lines, insts]` pair), or a whole
+/// [`counters!`] block.
+pub trait Counter: Sized {
+    fn to_json(&self) -> Json;
+    /// Decode `v`.  `path` is `v`'s dotted field path (`front.fetch_pb`),
+    /// which every error names.
+    fn from_json(v: &Json, path: &str) -> Result<Self, String>;
+}
+
+impl Counter for u64 {
+    fn to_json(&self) -> Json {
+        (*self).into()
+    }
+
+    fn from_json(v: &Json, path: &str) -> Result<u64, String> {
+        v.as_u64()
+            .ok_or_else(|| format!("stats field {path:?} must be an unsigned 64-bit integer"))
+    }
+}
+
+/// Check that the block at `path` is an object (generated decoders call
+/// this before [`counter_field`]).
+#[doc(hidden)]
+pub fn counter_block(v: &Json, path: &str) -> Result<(), String> {
+    match v {
+        Json::Obj(_) => Ok(()),
+        _ if path.is_empty() => Err("stats must be a JSON object".into()),
+        _ => Err(format!("stats block {path:?} must be a JSON object")),
+    }
+}
+
+/// Decode field `key` of the block at `path`.  Keys the block does not
+/// declare are never looked at, so they are ignored.
+#[doc(hidden)]
+pub fn counter_field<T: Counter>(block: &Json, path: &str, key: &str) -> Result<T, String> {
+    let at = if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    };
+    let v = block
+        .get(key)
+        .ok_or_else(|| format!("missing stats field {at:?}"))?;
+    T::from_json(v, &at)
+}
+
+/// Declare a block of counters once: the struct (deriving `Debug, Clone,
+/// Copy, Default, PartialEq, Eq`) and its [`Counter`] codec, a JSON object
+/// whose keys are the fields in declaration order.  Every field type must
+/// itself be a [`Counter`]; adding a counter is one line in the table.
+///
+/// ```
+/// prestage_json::counters! {
+///     /// Hits and misses.
+///     pub struct Probe {
+///         pub hits: u64,
+///         pub misses: u64,
+///     }
+/// }
+/// use prestage_json::{Counter, Json};
+/// let p = Probe { hits: 3, misses: 1 };
+/// assert_eq!(p.to_json().keys(), Some(vec!["hits", "misses"]));
+/// assert_eq!(Probe::from_json(&p.to_json(), ""), Ok(p));
+/// let e = Probe::from_json(&Json::parse(r#"{"hits":3}"#).unwrap(), "probe").unwrap_err();
+/// assert_eq!(e, r#"missing stats field "probe.misses""#);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$field_attr:meta])* $field_vis:vis $field:ident : $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $( $(#[$field_attr])* $field_vis $field: $ty, )*
+        }
+
+        impl $crate::Counter for $name {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::obj([
+                    $( (stringify!($field), $crate::Counter::to_json(&self.$field)), )*
+                ])
+            }
+
+            fn from_json(
+                v: &$crate::Json,
+                path: &str,
+            ) -> ::std::result::Result<Self, ::std::string::String> {
+                $crate::counter_block(v, path)?;
+                ::std::result::Result::Ok($name {
+                    $( $field: $crate::counter_field(v, path, stringify!($field))?, )*
+                })
+            }
+        }
+    };
 }
 
 #[cfg(test)]

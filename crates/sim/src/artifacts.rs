@@ -1,5 +1,5 @@
 //! Artifact anchoring: the single answer to "where do results land on
-//! disk?", shared by the figure binaries (via `prestage-bench`'s
+//! disk?", shared by the table and study binaries (via `prestage-bench`'s
 //! re-export), the `prestage` CLI, and the `prestage serve` daemon — so a
 //! sweep submitted to the daemon from any cwd lands its artifacts exactly
 //! where a `prestage run` from the workspace root would.

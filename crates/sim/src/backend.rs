@@ -15,11 +15,11 @@
 
 use prestage_cache::{Completion, L2System, ReqClass, ReqId, SetAssocCache};
 use prestage_isa::{Addr, OpClass, Reg, StaticInst, NUM_REGS};
-use serde::{Deserialize, Serialize};
+use prestage_json::counters;
 use std::collections::VecDeque;
 
 /// Back-end configuration (Table 2 defaults via [`BackendConfig::default`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendConfig {
     /// Issue and commit width.
     pub width: u32,
@@ -49,17 +49,18 @@ impl Default for BackendConfig {
     }
 }
 
-/// Back-end statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BackendStats {
-    pub committed: u64,
-    pub loads: u64,
-    pub stores: u64,
-    pub dcache_hits: u64,
-    pub dcache_misses: u64,
-    pub branches: u64,
-    /// Cycles in which nothing committed.
-    pub commit_stall_cycles: u64,
+counters! {
+    /// Back-end statistics.
+    pub struct BackendStats {
+        pub committed: u64,
+        pub loads: u64,
+        pub stores: u64,
+        pub dcache_hits: u64,
+        pub dcache_misses: u64,
+        pub branches: u64,
+        /// Cycles in which nothing committed.
+        pub commit_stall_cycles: u64,
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

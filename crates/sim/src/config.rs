@@ -3,10 +3,9 @@
 use crate::backend::BackendConfig;
 use prestage_cacti::TechNode;
 use prestage_core::{FrontendConfig, ITlbConfig, InsertionPolicy, PrefetcherKind};
-use serde::{Deserialize, Serialize};
 
 /// Every named configuration in the paper's evaluation (Figures 1-8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfigPreset {
     /// L1 only, non-pipelined multi-cycle access.
     Base,
@@ -95,7 +94,7 @@ impl ConfigPreset {
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     pub frontend: FrontendConfig,
     pub backend: BackendConfig,

@@ -35,7 +35,7 @@ use crate::runner::{
 };
 use crate::stats::SimStats;
 use prestage_cacti::TechNode;
-use prestage_json::Json;
+use prestage_json::{Counter, Json};
 use prestage_workload::{
     build, replay_file_trusted, replay_shared, specint2000, BenchmarkProfile, DynInst,
     Workload,
@@ -120,8 +120,8 @@ impl TraceSource {
 
 /// A complete, serializable description of one experiment.
 ///
-/// This is the *only* way experiments are configured: figure binaries
-/// declare one, the CLI loads one from JSON, and the environment can only
+/// This is the *only* way experiments are configured: declared figures
+/// are one each, the CLI loads one from JSON, and the environment can only
 /// override fields through [`ExperimentSpec::env_overrides`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
@@ -240,7 +240,7 @@ fn parse_threads(value: Option<&str>) -> Option<usize> {
 
 impl ExperimentSpec {
     /// The default matrix with every `PRESTAGE_*` override applied — the
-    /// spec a figure binary runs when the environment says nothing.
+    /// spec the study binaries run when the environment says nothing.
     pub fn from_env() -> ExperimentSpec {
         ExperimentSpec::default().env_overrides()
     }
@@ -368,7 +368,7 @@ impl ExperimentSpec {
         ))
     }
 
-    /// Open `path` and check its header against this spec: v2 identity
+    /// Open `path` and check its header against this spec: identity
     /// (profile, both seeds) and at least `warmup + measure` instructions.
     /// Errors name the file and the mismatching field — replaying the
     /// wrong trace must be impossible, not merely unlikely.
@@ -381,13 +381,7 @@ impl ExperimentSpec {
             format!("{e} — record it first: `prestage trace record <spec> --out <dir>`")
         })?;
         let h = reader.header();
-        let Some(meta) = &h.meta else {
-            return Err(format!(
-                "trace {} is v1 and carries no identity; spec replay needs a v2 \
-                 trace — re-record it",
-                path.display()
-            ));
-        };
+        let meta = &h.meta;
         if meta.profile != name {
             return Err(format!(
                 "trace {} was recorded from benchmark {:?}, spec expects {name:?}",
@@ -678,6 +672,8 @@ impl ExperimentSpec {
     /// Parse a spec from a JSON value.  Strict: every field must be
     /// present, unknown keys are rejected (a misspelled `"warmupinsts"`
     /// must not silently fall back to the default run length).
+    // Schemas 1–3 stay readable: serve journals written by older builds
+    // carry them (replayed by `prestage_serve`'s journal loader).
     pub fn from_json_value(v: &Json) -> Result<ExperimentSpec, String> {
         let keys = v
             .keys()
@@ -1096,7 +1092,7 @@ pub fn try_run_spec_over(
 }
 
 /// [`try_run_spec`], panicking (loudly, with the spec error) on an invalid
-/// spec — the figure-binary entry point, where an invalid spec is a bug or
+/// spec — the figure and study entry point, where an invalid spec is a bug or
 /// a typo'd `PRESTAGE_BENCH` and must abort the reproduction.
 pub fn run_spec(spec: &ExperimentSpec) -> Vec<Vec<GridResult>> {
     try_run_spec(spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"))
@@ -1107,216 +1103,16 @@ pub fn run_spec(spec: &ExperimentSpec) -> Vec<Vec<GridResult>> {
 // ---------------------------------------------------------------------------
 
 /// Serialize one cell's statistics as the canonical JSON object — the
-/// shard-file / grid-artifact / serve-cache representation.
+/// shard-file / grid-artifact / serve-cache representation.  The codec is
+/// generated from the counter tables (`prestage_json::counters!`).
 pub fn stats_to_json(s: &SimStats) -> Json {
-    // Exhaustive destructuring everywhere in this codec: a new counter
-    // field that is not serialized would silently break the bit-exact
-    // shard/merge guarantee, so it must not compile instead.
-    let SimStats {
-        seed,
-        cycles,
-        committed,
-        front,
-        bus,
-        pred,
-        backend,
-        redirects,
-    } = *s;
-    let prestage_core::FrontStats {
-        fetch_pb,
-        fetch_l0,
-        fetch_l1,
-        fetch_l2,
-        fetch_mem,
-        prefetch_from_pb,
-        prefetch_from_l1,
-        prefetch_from_l2,
-        prefetch_from_mem,
-        prefetches_issued,
-        filtered,
-        pb_alloc_stalls,
-        blocks_pushed,
-        blocks_rejected,
-        flushes,
-        consumer_bumps,
-    } = front;
-    let source = |c: prestage_core::SourceCount| {
-        Json::Arr(vec![c.lines.into(), c.insts.into()])
-    };
-    let prestage_cache::BusStats {
-        grants_dcache,
-        grants_ifetch,
-        grants_prefetch,
-        writebacks,
-        l2_hits,
-        l2_misses,
-        wait_cycles,
-    } = bus;
-    let prestage_bpred::PredStats {
-        predictions,
-        l1_supplied,
-        l2_supplied,
-        fallback_supplied,
-        trained,
-        train_correct,
-    } = pred;
-    let crate::backend::BackendStats {
-        committed: be_committed,
-        loads,
-        stores,
-        dcache_hits,
-        dcache_misses,
-        branches,
-        commit_stall_cycles,
-    } = backend;
-    Json::obj([
-        ("seed", seed.into()),
-        ("cycles", cycles.into()),
-        ("committed", committed.into()),
-        ("redirects", redirects.into()),
-        (
-            "front",
-            Json::obj([
-                ("fetch_pb", source(fetch_pb)),
-                ("fetch_l0", source(fetch_l0)),
-                ("fetch_l1", source(fetch_l1)),
-                ("fetch_l2", source(fetch_l2)),
-                ("fetch_mem", source(fetch_mem)),
-                ("prefetch_from_pb", prefetch_from_pb.into()),
-                ("prefetch_from_l1", prefetch_from_l1.into()),
-                ("prefetch_from_l2", prefetch_from_l2.into()),
-                ("prefetch_from_mem", prefetch_from_mem.into()),
-                ("prefetches_issued", prefetches_issued.into()),
-                ("filtered", filtered.into()),
-                ("pb_alloc_stalls", pb_alloc_stalls.into()),
-                ("blocks_pushed", blocks_pushed.into()),
-                ("blocks_rejected", blocks_rejected.into()),
-                ("flushes", flushes.into()),
-                ("consumer_bumps", consumer_bumps.into()),
-            ]),
-        ),
-        (
-            "bus",
-            Json::obj([
-                ("grants_dcache", grants_dcache.into()),
-                ("grants_ifetch", grants_ifetch.into()),
-                ("grants_prefetch", grants_prefetch.into()),
-                ("writebacks", writebacks.into()),
-                ("l2_hits", l2_hits.into()),
-                ("l2_misses", l2_misses.into()),
-                ("wait_cycles", wait_cycles.into()),
-            ]),
-        ),
-        (
-            "pred",
-            Json::obj([
-                ("predictions", predictions.into()),
-                ("l1_supplied", l1_supplied.into()),
-                ("l2_supplied", l2_supplied.into()),
-                ("fallback_supplied", fallback_supplied.into()),
-                ("trained", trained.into()),
-                ("train_correct", train_correct.into()),
-            ]),
-        ),
-        (
-            "backend",
-            Json::obj([
-                ("committed", be_committed.into()),
-                ("loads", loads.into()),
-                ("stores", stores.into()),
-                ("dcache_hits", dcache_hits.into()),
-                ("dcache_misses", dcache_misses.into()),
-                ("branches", branches.into()),
-                ("commit_stall_cycles", commit_stall_cycles.into()),
-            ]),
-        ),
-    ])
-}
-
-fn u64_of(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer stats field {key:?}"))
-}
-
-fn source_of(v: &Json, key: &str) -> Result<prestage_core::SourceCount, String> {
-    let arr = v
-        .get(key)
-        .and_then(Json::as_arr)
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| format!("stats field {key:?} must be a [lines, insts] pair"))?;
-    Ok(prestage_core::SourceCount {
-        lines: arr[0]
-            .as_u64()
-            .ok_or_else(|| format!("bad lines count in {key:?}"))?,
-        insts: arr[1]
-            .as_u64()
-            .ok_or_else(|| format!("bad insts count in {key:?}"))?,
-    })
+    s.to_json()
 }
 
 /// Parse [`stats_to_json`]'s representation back; every missing or
-/// malformed counter is named.
+/// malformed counter is named by its dotted path.
 pub fn stats_from_json(v: &Json) -> Result<SimStats, String> {
-    let sub = |key: &str| {
-        v.get(key)
-            .filter(|s| matches!(s, Json::Obj(_)))
-            .ok_or_else(|| format!("missing stats block {key:?}"))
-    };
-    let front = sub("front")?;
-    let bus = sub("bus")?;
-    let pred = sub("pred")?;
-    let backend = sub("backend")?;
-    Ok(SimStats {
-        seed: u64_of(v, "seed")?,
-        cycles: u64_of(v, "cycles")?,
-        committed: u64_of(v, "committed")?,
-        redirects: u64_of(v, "redirects")?,
-        front: prestage_core::FrontStats {
-            fetch_pb: source_of(front, "fetch_pb")?,
-            fetch_l0: source_of(front, "fetch_l0")?,
-            fetch_l1: source_of(front, "fetch_l1")?,
-            fetch_l2: source_of(front, "fetch_l2")?,
-            fetch_mem: source_of(front, "fetch_mem")?,
-            prefetch_from_pb: u64_of(front, "prefetch_from_pb")?,
-            prefetch_from_l1: u64_of(front, "prefetch_from_l1")?,
-            prefetch_from_l2: u64_of(front, "prefetch_from_l2")?,
-            prefetch_from_mem: u64_of(front, "prefetch_from_mem")?,
-            prefetches_issued: u64_of(front, "prefetches_issued")?,
-            filtered: u64_of(front, "filtered")?,
-            pb_alloc_stalls: u64_of(front, "pb_alloc_stalls")?,
-            blocks_pushed: u64_of(front, "blocks_pushed")?,
-            blocks_rejected: u64_of(front, "blocks_rejected")?,
-            flushes: u64_of(front, "flushes")?,
-            consumer_bumps: u64_of(front, "consumer_bumps")?,
-        },
-        bus: prestage_cache::BusStats {
-            grants_dcache: u64_of(bus, "grants_dcache")?,
-            grants_ifetch: u64_of(bus, "grants_ifetch")?,
-            grants_prefetch: u64_of(bus, "grants_prefetch")?,
-            writebacks: u64_of(bus, "writebacks")?,
-            l2_hits: u64_of(bus, "l2_hits")?,
-            l2_misses: u64_of(bus, "l2_misses")?,
-            wait_cycles: u64_of(bus, "wait_cycles")?,
-        },
-        pred: prestage_bpred::PredStats {
-            predictions: u64_of(pred, "predictions")?,
-            l1_supplied: u64_of(pred, "l1_supplied")?,
-            l2_supplied: u64_of(pred, "l2_supplied")?,
-            fallback_supplied: u64_of(pred, "fallback_supplied")?,
-            trained: u64_of(pred, "trained")?,
-            train_correct: u64_of(pred, "train_correct")?,
-        },
-        backend: crate::backend::BackendStats {
-            committed: u64_of(backend, "committed")?,
-            loads: u64_of(backend, "loads")?,
-            stores: u64_of(backend, "stores")?,
-            dcache_hits: u64_of(backend, "dcache_hits")?,
-            dcache_misses: u64_of(backend, "dcache_misses")?,
-            branches: u64_of(backend, "branches")?,
-            commit_stall_cycles: u64_of(backend, "commit_stall_cycles")?,
-        },
-    })
+    SimStats::from_json(v, "")
 }
 
 /// Serialize a cell identifier as the canonical JSON object used by
@@ -1362,7 +1158,10 @@ pub fn cell_from_json(v: &Json) -> Result<SweepCell, String> {
             .get("bench_idx")
             .and_then(Json::as_usize)
             .ok_or("cell bench_idx must be an integer")?,
-        exec_seed: u64_of(v, "exec_seed")?,
+        exec_seed: v
+            .get("exec_seed")
+            .and_then(Json::as_u64)
+            .ok_or("cell exec_seed must be an integer")?,
     })
 }
 
@@ -2003,68 +1802,88 @@ mod tests {
         assert_eq!(c.exec_seed, 3);
     }
 
+    /// Give every integer leaf under `v` the next value of `n`.
+    fn renumber(v: &mut Json, n: &mut u64) {
+        match v {
+            Json::Int(i) => {
+                *n += 1;
+                *i = (*n).into();
+            }
+            Json::Arr(items) => items.iter_mut().for_each(|x| renumber(x, n)),
+            Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, x)| renumber(x, n)),
+            other => panic!("stats leaf {other:?} is not an integer"),
+        }
+    }
+
+    /// The dotted path of every field under `v`, blocks before their
+    /// fields.
+    fn field_paths(v: &Json, prefix: &str, out: &mut Vec<String>) {
+        for key in v.keys().unwrap_or_default() {
+            let path = if prefix.is_empty() {
+                key.to_string()
+            } else {
+                format!("{prefix}.{key}")
+            };
+            out.push(path.clone());
+            field_paths(v.get(key).unwrap(), &path, out);
+        }
+    }
+
+    /// The object holding the field at dotted `path`, and the field's key.
+    fn parent_of<'a>(v: &'a mut Json, path: &'a str) -> (&'a mut Vec<(String, Json)>, &'a str) {
+        let (block, key) = match path.rsplit_once('.') {
+            Some((block, key)) => (Some(block), key),
+            None => (None, path),
+        };
+        let mut at = v;
+        for seg in block.into_iter().flat_map(|b| b.split('.')) {
+            let Json::Obj(pairs) = at else { unreachable!() };
+            at = &mut pairs.iter_mut().find(|(k, _)| k == seg).unwrap().1;
+        }
+        let Json::Obj(pairs) = at else { unreachable!() };
+        (pairs, key)
+    }
+
     #[test]
     fn stats_codec_roundtrips_every_field_exactly() {
-        // Fill each counter with a distinct value (including one above
-        // 2^53) so a swapped or dropped field cannot cancel out.
-        let mut n = (1u64 << 53) + 1;
-        let mut next = || {
-            n += 1;
-            n
-        };
-        let s = SimStats {
-            seed: next(),
-            cycles: next(),
-            committed: next(),
-            redirects: next(),
-            front: prestage_core::FrontStats {
-                fetch_pb: prestage_core::SourceCount { lines: next(), insts: next() },
-                fetch_l0: prestage_core::SourceCount { lines: next(), insts: next() },
-                fetch_l1: prestage_core::SourceCount { lines: next(), insts: next() },
-                fetch_l2: prestage_core::SourceCount { lines: next(), insts: next() },
-                fetch_mem: prestage_core::SourceCount { lines: next(), insts: next() },
-                prefetch_from_pb: next(),
-                prefetch_from_l1: next(),
-                prefetch_from_l2: next(),
-                prefetch_from_mem: next(),
-                prefetches_issued: next(),
-                filtered: next(),
-                pb_alloc_stalls: next(),
-                blocks_pushed: next(),
-                blocks_rejected: next(),
-                flushes: next(),
-                consumer_bumps: next(),
-            },
-            bus: prestage_cache::BusStats {
-                grants_dcache: next(),
-                grants_ifetch: next(),
-                grants_prefetch: next(),
-                writebacks: next(),
-                l2_hits: next(),
-                l2_misses: next(),
-                wait_cycles: next(),
-            },
-            pred: prestage_bpred::PredStats {
-                predictions: next(),
-                l1_supplied: next(),
-                l2_supplied: next(),
-                fallback_supplied: next(),
-                trained: next(),
-                train_correct: next(),
-            },
-            backend: crate::backend::BackendStats {
-                committed: next(),
-                loads: next(),
-                stores: next(),
-                dcache_hits: next(),
-                dcache_misses: next(),
-                branches: next(),
-                commit_stall_cycles: next(),
-            },
-        };
-        let v = stats_to_json(&s);
-        let back = stats_from_json(&Json::parse(&v.pretty()).unwrap()).unwrap();
-        assert_eq!(back, s);
+        // Distinct values above 2^53 in every integer leaf, found by walking
+        // the encoding itself, so a swapped or dropped counter cannot cancel
+        // out and a new counter needs no edit here.
+        let mut v = stats_to_json(&SimStats::default());
+        let mut n = 1u64 << 53;
+        renumber(&mut v, &mut n);
+        assert!(n - (1 << 53) > 40, "only {} integer leaves", n - (1 << 53));
+        let s = stats_from_json(&Json::parse(&v.pretty()).unwrap()).unwrap();
+        assert_eq!(stats_to_json(&s), v);
+        assert_eq!(stats_from_json(&stats_to_json(&s)).unwrap(), s);
+    }
+
+    #[test]
+    fn stats_decode_names_each_missing_or_malformed_field_by_path() {
+        let full = stats_to_json(&SimStats::default());
+        let mut paths = Vec::new();
+        field_paths(&full, "", &mut paths);
+        assert!(paths.iter().any(|p| p == "front.fetch_pb"), "{paths:?}");
+        for path in &paths {
+            let mut missing = full.clone();
+            let (pairs, key) = parent_of(&mut missing, path);
+            pairs.retain(|(k, _)| k != key);
+            let mut negative = full.clone();
+            let (pairs, key) = parent_of(&mut negative, path);
+            pairs.iter_mut().find(|(k, _)| k == key).unwrap().1 = Json::Int(-1);
+            for broken in [missing, negative] {
+                let e = stats_from_json(&broken).unwrap_err();
+                assert!(
+                    e.contains("stats") && e.contains(&format!("{path:?}")),
+                    "{path}: {e}"
+                );
+            }
+        }
+        // Keys the tables do not declare are ignored.
+        let mut extra = full.clone();
+        let Json::Obj(pairs) = &mut extra else { unreachable!() };
+        pairs.push(("from_the_future".into(), Json::Int(1)));
+        assert_eq!(stats_from_json(&extra).unwrap(), SimStats::default());
     }
 
     #[test]

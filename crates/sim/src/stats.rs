@@ -3,30 +3,32 @@
 use prestage_bpred::PredStats;
 use prestage_cache::BusStats;
 use prestage_core::FrontStats;
-use serde::{Deserialize, Serialize};
+use prestage_json::counters;
 
 use crate::backend::BackendStats;
 
-/// Everything measured in one simulation run (post-warm-up window).
-///
-/// All fields (including the nested stat blocks) are integer counters, so
-/// equality is exact and the JSON codec in [`crate::spec`] round-trips a
-/// run bit-for-bit — the property the `prestage shard`/`merge` pipeline
-/// relies on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimStats {
-    /// Benchmark-identifying seed the run used.
-    pub seed: u64,
-    /// Measured cycles.
-    pub cycles: u64,
-    /// Committed instructions in the measured window.
-    pub committed: u64,
-    pub front: FrontStats,
-    pub bus: BusStats,
-    pub pred: PredStats,
-    pub backend: BackendStats,
-    /// Branch mispredictions that reached resolution (front-end redirects).
-    pub redirects: u64,
+counters! {
+    /// Everything measured in one simulation run (post-warm-up window).
+    ///
+    /// All fields (including the nested stat blocks) are integer counters,
+    /// so equality is exact and the generated JSON codec round-trips a run
+    /// bit-for-bit — the property the `prestage shard`/`merge` pipeline
+    /// relies on.  Declaration order is the artifact's key order.
+    pub struct SimStats {
+        /// Benchmark-identifying seed the run used.
+        pub seed: u64,
+        /// Measured cycles.
+        pub cycles: u64,
+        /// Committed instructions in the measured window.
+        pub committed: u64,
+        /// Branch mispredictions that reached resolution (front-end
+        /// redirects).
+        pub redirects: u64,
+        pub front: FrontStats,
+        pub bus: BusStats,
+        pub pred: PredStats,
+        pub backend: BackendStats,
+    }
 }
 
 impl SimStats {

@@ -18,10 +18,9 @@ use prestage_bpred::{StreamDesc, StreamEnd, MAX_STREAM_INSTS};
 use prestage_isa::{Addr, BasicBlock, BlockId, OpClass, Terminator, INST_BYTES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One dynamically executed instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     pub pc: Addr,
     pub op: OpClass,

@@ -36,8 +36,7 @@
 //! * [`bbv`] — basic-block-vector profiling and a small k-means SimPoint
 //!   (the paper's \[18\]) for representative-slice selection.
 //! * [`trace_io`] — versioned binary trace save/load: the chunked,
-//!   CRC-checked v2 format with streaming [`TraceWriter`]/[`TraceReader`]
-//!   (v1 stays readable).
+//!   CRC-checked v2 format with streaming [`TraceWriter`]/[`TraceReader`].
 //! * [`replay`] — [`InstSource`], the engine's stream abstraction, served
 //!   live by [`TraceGenerator`] or from disk by [`TraceReplayer`].
 
@@ -56,8 +55,8 @@ pub use replay::{
     TraceReplayer,
 };
 pub use trace_io::{
-    open_trace, read_trace, record_trace, write_trace, TraceHeader, TraceMeta, TraceReader,
-    TraceWriter, DEFAULT_CHUNK_INSTS,
+    open_trace, read_trace, record_trace, TraceHeader, TraceMeta, TraceReader, TraceWriter,
+    DEFAULT_CHUNK_INSTS,
 };
 
 /// Miniaturized SPECint2000 workloads — the first `n` profiles with code

@@ -2,19 +2,15 @@
 //!
 //! Traces are captured once and replayed into the simulator, mirroring the
 //! paper's trace-driven methodology (their traces were collected ahead of
-//! time from Alpha binaries).  Two formats share the `PSTR` magic:
-//!
-//! * **v1** — the original fixed-width little-endian record stream behind a
-//!   12-byte header.  Kept readable (and writable via [`write_trace`]) so
-//!   existing traces and the compatibility tests keep working, but it has
-//!   no integrity checking and no embedded identity.
-//! * **v2** — the shipping format: a self-describing header (profile name,
-//!   workload/exec seeds, instruction count, chunk size, header CRC-32)
-//!   followed by chunked records, each chunk carrying its own CRC-32.  The
-//!   chunking is what makes the format *streamable*: [`TraceWriter`] emits
-//!   and [`TraceReader`] consumes one bounded chunk at a time, so a
-//!   multi-hundred-MB trace records and replays at constant memory instead
-//!   of materialising a `Vec<DynInst>`.
+//! time from Alpha binaries).  The format (version 2) is a self-describing
+//! header (profile name, workload/exec seeds, instruction count, chunk
+//! size, header CRC-32) followed by chunked records, each chunk carrying
+//! its own CRC-32.  The chunking is what makes the format *streamable*:
+//! [`TraceWriter`] emits and [`TraceReader`] consumes one bounded chunk at
+//! a time, so a multi-hundred-MB trace records and replays at constant
+//! memory instead of materialising a `Vec<DynInst>`.  Any other version —
+//! including the original unchecked, identity-less version 1 — is refused
+//! by number.
 //!
 //! ```text
 //! v2 layout (all little-endian):
@@ -54,8 +50,6 @@ use std::path::Path;
 pub const MAGIC: [u8; 4] = *b"PSTR";
 /// Current format version (the chunked, CRC-checked layout above).
 pub const VERSION: u32 = 2;
-/// The legacy headerless-record format still accepted by [`TraceReader`].
-pub const VERSION_V1: u32 = 1;
 /// Records per chunk when the caller does not choose ([`TraceWriter::new`]).
 pub const DEFAULT_CHUNK_INSTS: u32 = 4096;
 /// Upper bound on a header's declared chunk size: caps the per-chunk buffer
@@ -126,7 +120,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Record codec (shared by v1 and v2).
+// Record codec.
 // ---------------------------------------------------------------------------
 
 fn op_to_u8(op: OpClass) -> u8 {
@@ -230,7 +224,7 @@ fn diagnose_short_record(have: usize) -> String {
 // Header.
 // ---------------------------------------------------------------------------
 
-/// The identity a v2 trace carries: which benchmark it was recorded from
+/// The identity a trace carries: which benchmark it was recorded from
 /// and under which seeds — everything a replay consumer must match before
 /// trusting the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -243,17 +237,15 @@ pub struct TraceMeta {
     pub exec_seed: u64,
 }
 
-/// Parsed trace header, either version.
+/// Parsed trace header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceHeader {
-    /// 1 or 2.
-    pub version: u32,
     /// Total records in the file.
     pub count: u64,
-    /// Records per full chunk (0 for v1, which is unchunked).
+    /// Records per full chunk.
     pub chunk_insts: u32,
-    /// Embedded identity; `None` for v1 traces, which carry none.
-    pub meta: Option<TraceMeta>,
+    /// Embedded identity.
+    pub meta: TraceMeta,
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -396,9 +388,8 @@ impl<W: Write + Seek> TraceWriter<W> {
 // Streaming reader.
 // ---------------------------------------------------------------------------
 
-/// Streaming trace reader: an `Iterator<Item = io::Result<DynInst>>` over
-/// either format, decoding (and CRC-verifying, for v2) one chunk at a time
-/// at constant memory — the payload and record buffers are reused across
+/// Streaming trace reader: an `Iterator<Item = io::Result<DynInst>>`
+/// decoding (and CRC-verifying) one chunk at a time at constant memory — the payload and record buffers are reused across
 /// chunks, so a multi-GB trace replays with two bounded allocations.
 /// After the first error the iterator fuses.
 #[derive(Debug)]
@@ -419,9 +410,8 @@ pub struct TraceReader<R: Read> {
 }
 
 impl<R: Read> TraceReader<R> {
-    /// Parse the header (v1 or v2) and position the reader at the first
-    /// record.  v2 headers are CRC-verified here; chunk payloads as they
-    /// stream.
+    /// Parse the header and position the reader at the first record.  The
+    /// header is CRC-verified here; chunk payloads as they stream.
     pub fn new(r: R) -> io::Result<Self> {
         Self::with_verification(r, true)
     }
@@ -441,73 +431,62 @@ impl<R: Read> TraceReader<R> {
             return Err(invalid(format!("bad magic {magic:02x?} (not a PSTR trace)")));
         }
         let version = u32::from_le_bytes(read_field::<4>(&mut r, "version")?);
-        let header = match version {
-            VERSION_V1 => TraceHeader {
-                version,
-                count: u64::from_le_bytes(read_field::<8>(&mut r, "record count")?),
-                chunk_insts: 0,
-                meta: None,
+        if version != VERSION {
+            return Err(invalid(format!(
+                "unsupported trace version {version} (this build reads version {VERSION})"
+            )));
+        }
+        let mut hb = Vec::with_capacity(64);
+        hb.extend_from_slice(&MAGIC);
+        hb.extend_from_slice(&version.to_le_bytes());
+        let plen_b = read_field::<2>(&mut r, "profile length")?;
+        hb.extend_from_slice(&plen_b);
+        let plen = u16::from_le_bytes(plen_b) as usize;
+        if plen > MAX_PROFILE_LEN {
+            return Err(invalid(format!(
+                "profile length {plen} exceeds the {MAX_PROFILE_LEN}-byte cap"
+            )));
+        }
+        let mut pbytes = vec![0u8; plen];
+        r.read_exact(&mut pbytes).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                invalid("trace truncated reading profile name".into())
+            } else {
+                e
+            }
+        })?;
+        hb.extend_from_slice(&pbytes);
+        let profile = String::from_utf8(pbytes)
+            .map_err(|_| invalid("profile name is not valid UTF-8".into()))?;
+        let wseed_b = read_field::<8>(&mut r, "workload_seed")?;
+        let xseed_b = read_field::<8>(&mut r, "exec_seed")?;
+        let count_b = read_field::<8>(&mut r, "instruction count")?;
+        let chunk_b = read_field::<4>(&mut r, "chunk size")?;
+        hb.extend_from_slice(&wseed_b);
+        hb.extend_from_slice(&xseed_b);
+        hb.extend_from_slice(&count_b);
+        hb.extend_from_slice(&chunk_b);
+        let chunk_insts = u32::from_le_bytes(chunk_b);
+        if chunk_insts == 0 || chunk_insts > MAX_CHUNK_INSTS {
+            return Err(invalid(format!(
+                "chunk size {chunk_insts} outside 1..={MAX_CHUNK_INSTS}"
+            )));
+        }
+        let stored = u32::from_le_bytes(read_field::<4>(&mut r, "header CRC")?);
+        let computed = crc32(&hb);
+        if stored != computed {
+            return Err(invalid(format!(
+                "header CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            )));
+        }
+        let header = TraceHeader {
+            count: u64::from_le_bytes(count_b),
+            chunk_insts,
+            meta: TraceMeta {
+                profile,
+                workload_seed: u64::from_le_bytes(wseed_b),
+                exec_seed: u64::from_le_bytes(xseed_b),
             },
-            VERSION => {
-                let mut hb = Vec::with_capacity(64);
-                hb.extend_from_slice(&MAGIC);
-                hb.extend_from_slice(&version.to_le_bytes());
-                let plen_b = read_field::<2>(&mut r, "profile length")?;
-                hb.extend_from_slice(&plen_b);
-                let plen = u16::from_le_bytes(plen_b) as usize;
-                if plen > MAX_PROFILE_LEN {
-                    return Err(invalid(format!(
-                        "profile length {plen} exceeds the {MAX_PROFILE_LEN}-byte cap"
-                    )));
-                }
-                let mut pbytes = vec![0u8; plen];
-                r.read_exact(&mut pbytes).map_err(|e| {
-                    if e.kind() == io::ErrorKind::UnexpectedEof {
-                        invalid("trace truncated reading profile name".into())
-                    } else {
-                        e
-                    }
-                })?;
-                hb.extend_from_slice(&pbytes);
-                let profile = String::from_utf8(pbytes)
-                    .map_err(|_| invalid("profile name is not valid UTF-8".into()))?;
-                let wseed_b = read_field::<8>(&mut r, "workload_seed")?;
-                let xseed_b = read_field::<8>(&mut r, "exec_seed")?;
-                let count_b = read_field::<8>(&mut r, "instruction count")?;
-                let chunk_b = read_field::<4>(&mut r, "chunk size")?;
-                hb.extend_from_slice(&wseed_b);
-                hb.extend_from_slice(&xseed_b);
-                hb.extend_from_slice(&count_b);
-                hb.extend_from_slice(&chunk_b);
-                let chunk_insts = u32::from_le_bytes(chunk_b);
-                if chunk_insts == 0 || chunk_insts > MAX_CHUNK_INSTS {
-                    return Err(invalid(format!(
-                        "chunk size {chunk_insts} outside 1..={MAX_CHUNK_INSTS}"
-                    )));
-                }
-                let stored = u32::from_le_bytes(read_field::<4>(&mut r, "header CRC")?);
-                let computed = crc32(&hb);
-                if stored != computed {
-                    return Err(invalid(format!(
-                        "header CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                    )));
-                }
-                TraceHeader {
-                    version,
-                    count: u64::from_le_bytes(count_b),
-                    chunk_insts,
-                    meta: Some(TraceMeta {
-                        profile,
-                        workload_seed: u64::from_le_bytes(wseed_b),
-                        exec_seed: u64::from_le_bytes(xseed_b),
-                    }),
-                }
-            }
-            other => {
-                return Err(invalid(format!(
-                    "unsupported trace version {other} (this build reads v1 and v2)"
-                )))
-            }
         };
         Ok(TraceReader {
             r,
@@ -527,12 +506,12 @@ impl<R: Read> TraceReader<R> {
         &self.header
     }
 
-    /// Chunks decoded so far (diagnostics; v1 always 0).
+    /// Chunks decoded so far (diagnostics).
     pub fn chunks_read(&self) -> u64 {
         self.chunks_read
     }
 
-    /// Decode the next v2 chunk into `self.chunk`.
+    /// Decode the next chunk into `self.chunk`.
     fn read_chunk(&mut self) -> io::Result<()> {
         let k = self.chunks_read;
         let n = u32::from_le_bytes(read_field::<4>(
@@ -602,43 +581,14 @@ impl<R: Read> TraceReader<R> {
         Ok(())
     }
 
-    /// One v1 record straight off the reader.
-    fn read_v1_record(&mut self) -> io::Result<DynInst> {
-        // Large enough for the widest record; decode_inst bounds the reads.
-        let what = format!(
-            "record {} of the header's {}",
-            self.produced, self.header.count
-        );
-        let mut head = [0u8; MIN_REC_BYTES];
-        self.r.read_exact(&mut head).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                invalid(format!("trace truncated reading {what}"))
-            } else {
-                e
-            }
-        })?;
-        // Peek the flags byte (offset 15) to learn whether a memory address
-        // follows, then decode the full record from one buffer.
-        let mut buf = head.to_vec();
-        if head[15] & 2 != 0 {
-            let tail = read_field::<8>(&mut self.r, &what)?;
-            buf.extend_from_slice(&tail);
-        }
-        let mut pos = 0;
-        let inst = decode_inst(&buf, &mut pos).map_err(|e| invalid(format!("{what}: {e}")))?;
-        debug_assert_eq!(pos, buf.len());
-        Ok(inst)
-    }
-
     fn next_record(&mut self) -> Option<io::Result<DynInst>> {
         if self.failed {
             return None;
         }
         if self.produced == self.header.count {
-            // v2 forbids trailing garbage: a concatenated or padded file is
-            // corruption, not silence.  (v1 stays permissive, as it always
-            // was.)
-            if self.header.version == VERSION && !self.trailing_checked {
+            // Trailing garbage is forbidden: a concatenated or padded file
+            // is corruption, not silence.
+            if !self.trailing_checked {
                 self.trailing_checked = true;
                 let mut one = [0u8; 1];
                 match self.r.read(&mut one) {
@@ -657,32 +607,20 @@ impl<R: Read> TraceReader<R> {
             }
             return None;
         }
-        if self.header.version != VERSION_V1 {
-            // Fast path: drain the decoded chunk without re-entering the
-            // framing logic per record.
-            if let Some(&i) = self.chunk.get(self.chunk_pos) {
-                self.chunk_pos += 1;
-                self.produced += 1;
-                return Some(Ok(i));
-            }
-            if let Err(e) = self.read_chunk() {
-                self.failed = true;
-                return Some(Err(e));
-            }
-            self.chunk_pos = 1;
+        // Fast path: drain the decoded chunk without re-entering the
+        // framing logic per record.
+        if let Some(&i) = self.chunk.get(self.chunk_pos) {
+            self.chunk_pos += 1;
             self.produced += 1;
-            return Some(Ok(self.chunk[0]));
+            return Some(Ok(i));
         }
-        match self.read_v1_record() {
-            Ok(i) => {
-                self.produced += 1;
-                Some(Ok(i))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
+        if let Err(e) = self.read_chunk() {
+            self.failed = true;
+            return Some(Err(e));
         }
+        self.chunk_pos = 1;
+        self.produced += 1;
+        Some(Ok(self.chunk[0]))
     }
 }
 
@@ -705,23 +643,7 @@ pub fn open_trace(path: &Path) -> io::Result<TraceReader<BufReader<File>>> {
 // Whole-slice convenience API.
 // ---------------------------------------------------------------------------
 
-/// Write a trace in the **v1** format — kept for compatibility (and the
-/// v1→v2 read-compatibility tests); new traces should go through
-/// [`TraceWriter`] / [`record_trace`], which carry identity and CRCs.
-pub fn write_trace<W: Write>(mut w: W, insts: &[DynInst]) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION_V1.to_le_bytes())?;
-    w.write_all(&(insts.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(MAX_REC_BYTES);
-    for i in insts {
-        buf.clear();
-        encode_inst(&mut buf, i);
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-/// Read a whole trace (either version) into memory.
+/// Read a whole trace into memory.
 ///
 /// The header's `count` field is untrusted: preallocation is clamped to a
 /// small constant and the vector only grows as records actually decode, so
@@ -821,14 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_roundtrip_exact() {
-        let insts = small_insts(10_000);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &insts).unwrap();
-        assert_eq!(read_trace(&buf[..]).unwrap(), insts);
-    }
-
-    #[test]
     fn v2_roundtrip_exact_across_chunk_sizes() {
         let insts = small_insts(5_000);
         for chunk in [1u32, 7, 512, DEFAULT_CHUNK_INSTS] {
@@ -844,10 +758,9 @@ mod tests {
         let bytes = v2_bytes(&insts, 32);
         let r = TraceReader::new(&bytes[..]).unwrap();
         let h = r.header().clone();
-        assert_eq!(h.version, VERSION);
         assert_eq!(h.count, insts.len() as u64);
         assert_eq!(h.chunk_insts, 32);
-        assert_eq!(h.meta, Some(meta()));
+        assert_eq!(h.meta, meta());
         let n = r.fold(0usize, |acc, x| {
             x.unwrap();
             acc + 1
@@ -877,22 +790,21 @@ mod tests {
 
     #[test]
     fn rejects_bad_version() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &[]).unwrap();
-        buf[4] = 99;
-        let e = read_trace(&buf[..]).unwrap_err();
-        assert!(e.to_string().contains("version 99"), "{e}");
+        let mut buf = v2_bytes(&[], 64);
+        for version in [99u8, 1] {
+            buf[4] = version;
+            let e = read_trace(&buf[..]).unwrap_err();
+            assert!(
+                e.to_string()
+                    .contains(&format!("unsupported trace version {version}")),
+                "{e}"
+            );
+        }
     }
 
     #[test]
-    fn rejects_truncation_either_version() {
+    fn rejects_truncation() {
         let insts = small_insts(100);
-        let mut v1 = Vec::new();
-        write_trace(&mut v1, &insts).unwrap();
-        v1.truncate(v1.len() - 3);
-        let e = read_trace(&v1[..]).unwrap_err();
-        assert!(e.to_string().contains("truncated"), "{e}");
-
         let mut v2 = v2_bytes(&insts, 64);
         v2.truncate(v2.len() - 3);
         let e = read_trace(&v2[..]).unwrap_err();
@@ -934,22 +846,19 @@ mod tests {
 
     #[test]
     fn hostile_count_fails_fast_without_preallocating() {
-        // v1 header claiming 2^60 records over an empty body: must error on
-        // the missing first record, not allocate.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        // A header claiming 2^60 records over an empty body: must error on
+        // the missing first chunk, not allocate.
+        let buf = header_bytes(&meta(), 1 << 60, 64);
         let e = read_trace(&buf[..]).unwrap_err();
         let msg = e.to_string();
-        assert!(msg.contains("truncated") && msg.contains("record 0"), "{msg}");
+        assert!(
+            msg.contains("truncated") && msg.contains("chunk 0"),
+            "{msg}"
+        );
     }
 
     #[test]
-    fn empty_traces_roundtrip_both_versions() {
-        let mut v1 = Vec::new();
-        write_trace(&mut v1, &[]).unwrap();
-        assert_eq!(read_trace(&v1[..]).unwrap(), vec![]);
+    fn empty_trace_roundtrips() {
         let v2 = v2_bytes(&[], 64);
         assert_eq!(read_trace(&v2[..]).unwrap(), vec![]);
     }

@@ -11,7 +11,7 @@
 //! * **Byte-level fuzzers** ([`mod@targets`]) drive structure-aware mutations
 //!   of checked-in corpus seeds (`fuzz/corpus/<target>/`) through each
 //!   wire-format parser — the JSON tree ([`prestage_json`]), the
-//!   experiment-spec codec, the trace v1/v2 reader, the shard-file
+//!   experiment-spec codec, the trace reader, the shard-file
 //!   loader and the `prestage serve` frame protocol — asserting the
 //!   workspace's loud-parsing policy
 //!   *adversarially*: no input may panic, loop, or produce unboundedly
@@ -21,8 +21,8 @@
 //!   [`prestage_sim::ExperimentSpec`]s and asserts the repo's core
 //!   equivalences as executable properties: live == replay == shard/merge
 //!   byte-identical artifacts, all six mechanisms bit-identical when the
-//!   pre-buffer is disabled by config, and schema-1/2 spec files
-//!   upgrading to identical canonical schema-3 JSON.
+//!   pre-buffer is disabled by config, and schema-1/2/3 spec files
+//!   upgrading to identical canonical schema-4 JSON.
 //!
 //! Crashers found during development are checked in under
 //! `fuzz/regressions/<target>/` and replayed by `fuzz/tests/` as named

@@ -186,7 +186,7 @@ fn json_target(data: &[u8]) -> Result<Outcome, String> {
 }
 
 /// The `ExperimentSpec` codec: strict schema-aware parse; accepted specs
-/// must survive the canonical (schema-3) round trip, and `validate()`
+/// must survive the canonical (schema-4) round trip, and `validate()`
 /// must return — never panic — on whatever parsed.
 fn spec_target(data: &[u8]) -> Result<Outcome, String> {
     let Ok(text) = std::str::from_utf8(data) else {
@@ -221,7 +221,7 @@ fn spec_target(data: &[u8]) -> Result<Outcome, String> {
     }
 }
 
-/// The trace v1/v2 reader, streamed to exhaustion.  Every rejection must
+/// The trace reader, streamed to exhaustion.  Every rejection must
 /// name a field; the record stream may never outrun what the input bytes
 /// could encode (24-byte minimum per record) — the no-unbounded-output
 /// law, since decoded records are the reader's only allocation that
@@ -234,8 +234,8 @@ fn trace_target(data: &[u8]) -> Result<Outcome, String> {
         }
         Ok(())
     };
-    // Records have a 24-byte floor and the v1 header is 16 bytes, so a
-    // clean read can never produce more than len/24 + 1 records.
+    // Records have a 24-byte floor behind a header of at least 42 bytes,
+    // so a clean read can never produce more than len/24 + 1 records.
     let max_records = (data.len() / 24) as u64 + 1;
     match TraceReader::new(data) {
         Err(e) => {
@@ -401,14 +401,13 @@ pub fn builtin_seeds_for(target: &str) -> Vec<Vec<u8>> {
         ],
         "trace" => {
             let w = tiny_workload();
-            let mut v2 = std::io::Cursor::new(Vec::new());
-            prestage_workload::record_trace(&mut v2, &w, 3, 600, 256)
+            let mut long = std::io::Cursor::new(Vec::new());
+            prestage_workload::record_trace(&mut long, &w, 3, 600, 256)
                 .expect("in-memory recording");
-            let insts: Vec<_> =
-                prestage_workload::TraceGenerator::new(&w, 3).take_insts(200);
-            let mut v1 = Vec::new();
-            prestage_workload::write_trace(&mut v1, &insts).expect("in-memory v1");
-            vec![v2.into_inner(), v1]
+            let mut short = std::io::Cursor::new(Vec::new());
+            prestage_workload::record_trace(&mut short, &w, 3, 200, 64)
+                .expect("in-memory recording");
+            vec![long.into_inner(), short.into_inner()]
         }
         "shard" => {
             // An empty-but-valid shard: real stats come from the corpus.

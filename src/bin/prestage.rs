@@ -31,7 +31,7 @@
 //!
 //! A *figure* argument (`fig1`, `fig5b`, ...) resolves to the declared
 //! spec from `prestage_bench::figures` with the `PRESTAGE_*` environment
-//! overrides applied — exactly what the figure binary would run.  A
+//! overrides applied.  A
 //! *file* argument is taken verbatim: what is in the file is what runs,
 //! so two shards of the same file are guaranteed to agree.
 //!
@@ -98,9 +98,9 @@ fn take_flag(args: &mut Vec<String>, key: &str) -> Option<String> {
 }
 
 /// Resolve a spec argument: an existing file parses verbatim; otherwise a
-/// declared figure name (whose spec gets the environment overrides, like
-/// the figure binary).  Returns the figure declaration when there is one,
-/// so `run` can render the figure's own report kind.
+/// declared figure name (whose spec gets the environment overrides).
+/// Returns the figure declaration when there is one, so `run` can render
+/// the figure's own report kind.
 fn load_spec(arg: &str) -> (ExperimentSpec, Option<&'static Figure>) {
     let path = std::path::Path::new(arg);
     if path.exists() {
@@ -144,7 +144,7 @@ fn cmd_run(mut args: Vec<String>) {
         t0.elapsed().as_secs_f64()
     );
     match fig {
-        // A declared figure renders exactly like its binary (CSV included).
+        // A declared figure renders its own report (CSV included).
         Some(f) => report::render(f.report, f.title, f.name, &spec, &rows),
         // An ad-hoc spec file prints the table without touching results/.
         None => report::sweep_table(&format!("spec {arg}"), &spec, &rows),
@@ -340,16 +340,11 @@ fn cmd_trace_info(args: Vec<String>) {
     let mut reader =
         open_trace(Path::new(path)).unwrap_or_else(|e| fail(&e.to_string()));
     let h = reader.header().clone();
-    println!("{path}: PSTR v{}", h.version);
-    match &h.meta {
-        Some(m) => {
-            println!("  profile:       {}", m.profile);
-            println!("  workload_seed: {}", m.workload_seed);
-            println!("  exec_seed:     {}", m.exec_seed);
-            println!("  chunk size:    {} records", h.chunk_insts);
-        }
-        None => println!("  (v1: no embedded identity, no CRCs)"),
-    }
+    println!("{path}: PSTR v{}", prestage_workload::trace_io::VERSION);
+    println!("  profile:       {}", h.meta.profile);
+    println!("  workload_seed: {}", h.meta.workload_seed);
+    println!("  exec_seed:     {}", h.meta.exec_seed);
+    println!("  chunk size:    {} records", h.chunk_insts);
     println!("  instructions:  {}", h.count);
     let mut records = 0u64;
     for rec in reader.by_ref() {
